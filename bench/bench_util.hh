@@ -10,15 +10,16 @@
  *                per hardware thread; 1 = serial reference run).
  *                Output is byte-identical for every N (see
  *                harness/parallel_sweep.hh).
- *   --format F   output format: "text" (default) or "json" for
- *                benches that support machine-readable results
- *                (e.g. validation_static_crosscheck per-kernel
- *                deltas).
  *
  * A bench may register additional value-taking flags (e.g.
  * `--reseeds 0,777,31415`) by passing them to parse(); their values
  * land in Options::extra keyed by flag name, and the comma-list
  * helpers below turn them into numbers.
+ *
+ * A bench with machine-readable output registers "--format" the same
+ * way; parse() then reads `--format text|json` into Options::format.
+ * A bench that does not register it rejects the flag as unknown, so
+ * `--format json` never silently prints text.
  */
 
 #ifndef MEMWALL_BENCH_BENCH_UTIL_HH
@@ -74,16 +75,31 @@ struct Options
     }
 };
 
+/** Whether the bench registered @p flag among its extra flags. */
+inline bool
+registered(std::initializer_list<const char *> extra_flags,
+           const char *flag)
+{
+    for (const char *f : extra_flags)
+        if (std::strcmp(f, flag) == 0)
+            return true;
+    return false;
+}
+
 inline void
 printUsage(const char *prog,
            std::initializer_list<const char *> extra_flags)
 {
     std::fprintf(stderr,
                  "usage: %s [--refs N] [--quick] [--seed S] "
-                 "[--jobs N] [--format text|json]",
+                 "[--jobs N]",
                  prog);
     for (const char *flag : extra_flags)
-        std::fprintf(stderr, " [%s V[,V...]]", flag);
+        std::fprintf(stderr,
+                     std::strcmp(flag, "--format") == 0
+                         ? " [%s text|json]"
+                         : " [%s V[,V...]]",
+                     flag);
     std::fprintf(stderr, "\n");
 }
 
@@ -145,7 +161,8 @@ parse(int argc, char **argv,
                                     extra_flags);
             continue;
         }
-        if (std::strcmp(argv[i], "--format") == 0) {
+        if (std::strcmp(argv[i], "--format") == 0 &&
+            registered(extra_flags, "--format")) {
             opt.format = value_of(i);
             if (opt.format != "text" && opt.format != "json")
                 usageError(prog, extra_flags,
@@ -162,16 +179,11 @@ parse(int argc, char **argv,
                             : defaultJobs();
             continue;
         }
-        bool matched = false;
-        for (const char *flag : extra_flags) {
-            if (std::strcmp(argv[i], flag) == 0) {
-                opt.extra[flag] = value_of(i);
-                matched = true;
-                break;
-            }
-        }
-        if (matched)
+        if (registered(extra_flags, argv[i])) {
+            const char *flag = argv[i];
+            opt.extra[flag] = value_of(i);
             continue;
+        }
         usageError(prog, extra_flags,
                    std::string("unknown flag '") + argv[i] + "'");
     }

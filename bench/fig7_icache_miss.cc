@@ -4,37 +4,22 @@
  * 8 KB column-buffer cache (512-byte lines) vs conventional
  * direct-mapped caches (32-byte lines) of 8/16/32/64 KB.
  *
- * Robustness plumbing shared with Figure 8:
- *   --resume PATH    crash-safe sweep journal — an interrupted run
- *                    rerun with the same flags replays committed
- *                    points and produces byte-identical output;
- *   --ckpt-dir DIR   (sampled stratified plans) per-unit warm-state
- *                    checkpoints — the second run loads them instead
- *                    of re-warming, degrading gracefully to
- *                    functional warming when files are missing or
- *                    corrupt.
+ * The points, --resume, --ckpt-dir, --sample and --format json come
+ * from the catalog driver (catalog_driver.hh); this file prints the
+ * text table and bars.
  */
 
-#include <cinttypes>
-#include <cstdio>
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
-#include "harness/parallel_sweep.hh"
-#include "harness/sweep_resume.hh"
-#include "resume_util.hh"
-#include "workloads/missrate.hh"
 #include "workloads/missrate_figures.hh"
 
 using namespace memwall;
 using namespace memwall::cachelabels;
 
 namespace {
-
-constexpr std::initializer_list<const char *> extra_flags = {
-    "--sample", "--ckpt-dir", "--resume"};
 
 /** "mean±half" table cell, in percent. */
 std::string
@@ -45,62 +30,16 @@ ciCell(const SampledCacheMissRate &r)
 }
 
 /** Sampled variant: mean ± CI half-width per configuration. */
-int
-runSampled(const benchutil::Options &opt, const MissRateParams &params,
-           const SamplingPlan &plan, const std::string &ckpt_dir,
-           const std::string &resume_path)
+void
+printSampled(const benchutil::CatalogRun &run)
 {
+    const SamplingPlan &plan = *run.plan();
+    std::cout << "sampling plan: " << plan.describe() << "\n\n";
     TextTable table("Figure 7 (sampled): I-cache miss % ± " +
                     TextTable::num(plan.level * 100, 0) + "% CI");
     table.setHeader({"benchmark", "proposed 8K/512B", "conv 8K",
                      "conv 16K", "conv 32K", "conv 64K", "units"});
-    if (!opt.json())
-        std::cout << "sampling plan: " << plan.describe() << "\n\n";
-
-    std::unique_ptr<ckpt::CheckpointStore> store =
-        benchutil::makeMissRateStore(ckpt_dir, plan);
-
-    ParallelSweep<SampledWorkloadMissRates> sweep(opt.jobs, opt.seed);
-    ckpt::SweepJournal journal;
-    if (!resume_path.empty()) {
-        benchutil::openJournal(
-            journal, resume_path,
-            benchutil::missRateRunHash("fig7-sampled", opt, params,
-                                       &plan));
-        attachSweepJournal(
-            sweep, journal,
-            [](ckpt::Encoder &e, const SampledWorkloadMissRates &r) {
-                encodeResult(e, r);
-            },
-            [](ckpt::Decoder &d, SampledWorkloadMissRates &r) {
-                return decodeResult(d, r);
-            });
-    }
-    std::vector<SampledWorkloadMissRates> all;
-    for (const auto &w : specSuite()) {
-        sweep.submit(
-            [&w, &params, &plan, &store](const PointContext &) {
-                return measureMissRatesSampled(w, params, plan,
-                                               store.get());
-            },
-            [&all](const PointContext &,
-                   SampledWorkloadMissRates rates) {
-                all.push_back(std::move(rates));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes
-        // (non-finite moments render as null, never bare nan/inf).
-        std::fputs(
-            missRateFigureSampledJson(MissRateFigure::ICache, all)
-                .c_str(),
-            stdout);
-        return 0;
-    }
-
-    for (const auto &r : all)
+    for (const auto &r : run.results<SampledWorkloadMissRates>())
         table.addRow({r.workload, ciCell(r.icache(proposed)),
                       ciCell(r.icache(conv8)),
                       ciCell(r.icache(conv16)),
@@ -108,9 +47,6 @@ runSampled(const benchutil::Options &opt, const MissRateParams &params,
                       ciCell(r.icache(conv64)),
                       std::to_string(r.units)});
     table.print(std::cout);
-    if (store)
-        benchutil::printStoreCounters(*store);
-    return 0;
 }
 
 } // namespace
@@ -118,22 +54,16 @@ runSampled(const benchutil::Options &opt, const MissRateParams &params,
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv, extra_flags);
-    const std::string ckpt_dir =
-        benchutil::checkpointDirFlag(opt, argv[0], extra_flags);
-    const std::string resume_path =
-        benchutil::resumePathFlag(opt, argv[0], extra_flags);
-    if (!opt.json())
-        benchutil::banner("Figure 7 - instruction cache miss rates",
-                          opt);
-
-    const MissRateParams params =
-        resolveMissRateParams(opt.quick, opt.refs);
-
-    const std::string sample = opt.extraOr("--sample", "");
-    if (!sample.empty())
-        return runSampled(opt, params, parseSamplingPlan(sample),
-                          ckpt_dir, resume_path);
+    const auto run =
+        benchutil::runCatalog(server::Experiment::Fig7, argc, argv);
+    if (run.opt.json())
+        return 0;
+    benchutil::banner("Figure 7 - instruction cache miss rates",
+                      run.opt);
+    if (run.plan()) {
+        printSampled(run);
+        return 0;
+    }
 
     TextTable table("Figure 7: I-cache miss probability (%)");
     table.setHeader({"benchmark", "proposed 8K/512B", "conv 8K",
@@ -142,45 +72,7 @@ main(int argc, char **argv)
 
     BarChart chart("Figure 7 (bars): I-cache miss rates", "%");
 
-    // One sweep point per workload; rows commit in suite order no
-    // matter which worker finishes first.
-    ParallelSweep<WorkloadMissRates> sweep(opt.jobs, opt.seed);
-    ckpt::SweepJournal journal;
-    if (!resume_path.empty()) {
-        benchutil::openJournal(
-            journal, resume_path,
-            benchutil::missRateRunHash("fig7", opt, params,
-                                       nullptr));
-        attachSweepJournal(
-            sweep, journal,
-            [](ckpt::Encoder &e, const WorkloadMissRates &r) {
-                encodeResult(e, r);
-            },
-            [](ckpt::Decoder &d, WorkloadMissRates &r) {
-                return decodeResult(d, r);
-            });
-    }
-    std::vector<WorkloadMissRates> all;
-    for (const auto &w : specSuite()) {
-        sweep.submit(
-            [&w, &params](const PointContext &) {
-                return measureMissRates(w, params);
-            },
-            [&all](const PointContext &, WorkloadMissRates rates) {
-                all.push_back(std::move(rates));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(missRateFigureJson(MissRateFigure::ICache, all)
-                       .c_str(),
-                   stdout);
-        return 0;
-    }
-
-    for (const auto &rates : all) {
+    for (const auto &rates : run.results<WorkloadMissRates>()) {
         const double prop = rates.icache(proposed).missRate();
         const double c8 = rates.icache(conv8).missRate();
         const double c16 = rates.icache(conv16).missRate();

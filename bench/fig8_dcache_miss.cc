@@ -5,28 +5,23 @@
  * victim cache, vs conventional caches with 32-byte lines.
  * Load and store miss fractions are reported separately, as in the
  * paper's stacked bars.
+ *
+ * The points, --resume, --ckpt-dir, --sample and --format json come
+ * from the catalog driver (catalog_driver.hh); this file prints the
+ * text tables and bars.
  */
 
-#include <cinttypes>
-#include <cstdio>
 #include <iostream>
 #include <vector>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
-#include "harness/parallel_sweep.hh"
-#include "harness/sweep_resume.hh"
-#include "resume_util.hh"
-#include "workloads/missrate.hh"
 #include "workloads/missrate_figures.hh"
 
 using namespace memwall;
 using namespace memwall::cachelabels;
 
 namespace {
-
-constexpr std::initializer_list<const char *> extra_flags = {
-    "--sample", "--ckpt-dir", "--resume"};
 
 /** "mean±half" table cell, in percent. */
 std::string
@@ -37,63 +32,17 @@ ciCell(const SampledCacheMissRate &r)
 }
 
 /** Sampled variant: mean ± CI half-width per configuration. */
-int
-runSampled(const benchutil::Options &opt, const MissRateParams &params,
-           const SamplingPlan &plan, const std::string &ckpt_dir,
-           const std::string &resume_path)
+void
+printSampled(const benchutil::CatalogRun &run)
 {
+    const SamplingPlan &plan = *run.plan();
+    std::cout << "sampling plan: " << plan.describe() << "\n\n";
     TextTable table("Figure 8 (sampled): D-cache miss % ± " +
                     TextTable::num(plan.level * 100, 0) + "% CI");
     table.setHeader({"benchmark", "proposed", "conv 16K dm",
                      "conv 16K 2w", "conv 64K dm", "conv 256K 2w",
                      "proposed+VC", "units"});
-    if (!opt.json())
-        std::cout << "sampling plan: " << plan.describe() << "\n\n";
-
-    std::unique_ptr<ckpt::CheckpointStore> store =
-        benchutil::makeMissRateStore(ckpt_dir, plan);
-
-    ParallelSweep<SampledWorkloadMissRates> sweep(opt.jobs, opt.seed);
-    ckpt::SweepJournal journal;
-    if (!resume_path.empty()) {
-        benchutil::openJournal(
-            journal, resume_path,
-            benchutil::missRateRunHash("fig8-sampled", opt, params,
-                                       &plan));
-        attachSweepJournal(
-            sweep, journal,
-            [](ckpt::Encoder &e, const SampledWorkloadMissRates &r) {
-                encodeResult(e, r);
-            },
-            [](ckpt::Decoder &d, SampledWorkloadMissRates &r) {
-                return decodeResult(d, r);
-            });
-    }
-    std::vector<SampledWorkloadMissRates> all;
-    for (const auto &w : specSuite()) {
-        sweep.submit(
-            [&w, &params, &plan, &store](const PointContext &) {
-                return measureMissRatesSampled(w, params, plan,
-                                               store.get());
-            },
-            [&all](const PointContext &,
-                   SampledWorkloadMissRates rates) {
-                all.push_back(std::move(rates));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes
-        // (non-finite moments render as null, never bare nan/inf).
-        std::fputs(
-            missRateFigureSampledJson(MissRateFigure::DCache, all)
-                .c_str(),
-            stdout);
-        return 0;
-    }
-
-    for (const auto &r : all)
+    for (const auto &r : run.results<SampledWorkloadMissRates>())
         table.addRow({r.workload, ciCell(r.dcache(proposed)),
                       ciCell(r.dcache(conv16)),
                       ciCell(r.dcache(conv16w2)),
@@ -102,9 +51,6 @@ runSampled(const benchutil::Options &opt, const MissRateParams &params,
                       ciCell(r.dcache(proposed_vc)),
                       std::to_string(r.units)});
     table.print(std::cout);
-    if (store)
-        benchutil::printStoreCounters(*store);
-    return 0;
 }
 
 } // namespace
@@ -112,21 +58,15 @@ runSampled(const benchutil::Options &opt, const MissRateParams &params,
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv, extra_flags);
-    const std::string ckpt_dir =
-        benchutil::checkpointDirFlag(opt, argv[0], extra_flags);
-    const std::string resume_path =
-        benchutil::resumePathFlag(opt, argv[0], extra_flags);
-    if (!opt.json())
-        benchutil::banner("Figure 8 - data cache miss rates", opt);
-
-    const MissRateParams params =
-        resolveMissRateParams(opt.quick, opt.refs);
-
-    const std::string sample = opt.extraOr("--sample", "");
-    if (!sample.empty())
-        return runSampled(opt, params, parseSamplingPlan(sample),
-                          ckpt_dir, resume_path);
+    const auto run =
+        benchutil::runCatalog(server::Experiment::Fig8, argc, argv);
+    if (run.opt.json())
+        return 0;
+    benchutil::banner("Figure 8 - data cache miss rates", run.opt);
+    if (run.plan()) {
+        printSampled(run);
+        return 0;
+    }
 
     TextTable table(
         "Figure 8: D-cache miss probability (%), load+store");
@@ -136,44 +76,8 @@ main(int argc, char **argv)
 
     BarChart chart("Figure 8 (bars): D-cache miss rates", "%");
 
-    // Measure every workload as an independent sweep point; commits
-    // land in suite order, so `all` matches the serial loop exactly.
-    std::vector<WorkloadMissRates> all;
-    ParallelSweep<WorkloadMissRates> sweep(opt.jobs, opt.seed);
-    ckpt::SweepJournal journal;
-    if (!resume_path.empty()) {
-        benchutil::openJournal(
-            journal, resume_path,
-            benchutil::missRateRunHash("fig8", opt, params,
-                                       nullptr));
-        attachSweepJournal(
-            sweep, journal,
-            [](ckpt::Encoder &e, const WorkloadMissRates &r) {
-                encodeResult(e, r);
-            },
-            [](ckpt::Decoder &d, WorkloadMissRates &r) {
-                return decodeResult(d, r);
-            });
-    }
-    for (const auto &w : specSuite()) {
-        sweep.submit(
-            [&w, &params](const PointContext &) {
-                return measureMissRates(w, params);
-            },
-            [&all](const PointContext &, WorkloadMissRates rates) {
-                all.push_back(std::move(rates));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(missRateFigureJson(MissRateFigure::DCache, all)
-                       .c_str(),
-                   stdout);
-        return 0;
-    }
-
+    const std::vector<WorkloadMissRates> all =
+        run.results<WorkloadMissRates>();
     for (std::size_t i = 0; i < all.size(); ++i) {
         const auto &w = specSuite()[i];
         const auto &rates = all[i];

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared --resume / --ckpt-dir plumbing for the miss-rate figure
- * benches (Figures 7 and 8).
+ * Shared --resume / --ckpt-dir plumbing: the journal and warm-state
+ * store helpers of the catalog driver (catalog_driver.hh) and the
+ * checkpoint torture bench.
  */
 
 #ifndef MEMWALL_BENCH_RESUME_UTIL_HH
@@ -17,20 +18,6 @@
 #include "workloads/missrate.hh"
 
 namespace memwall::benchutil {
-
-/** Run hash tying a resume journal to one (bench, flags) tuple. */
-inline std::uint64_t
-missRateRunHash(const char *bench, const Options &opt,
-                const MissRateParams &params,
-                const SamplingPlan *plan)
-{
-    std::uint64_t h = ckpt::fnv1a64(bench);
-    h = ckpt::fnvMix(h, opt.seed);
-    h = ckpt::fnvMix(h, params.measured_refs);
-    h = ckpt::fnvMix(h, params.warmup_refs);
-    h = ckpt::fnvMix(h, plan ? samplingPlanHash(*plan) : 0);
-    return h;
-}
 
 /**
  * Open the journal (fatal on I/O errors) and report recovery on

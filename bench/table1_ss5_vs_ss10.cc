@@ -12,14 +12,13 @@
  * 44 min / 32 min = 1.38 on Synopsys, and the inverse relation on
  * SPEC'92).
  *
- * Point execution and the --format=json renderer live in
- * workloads/spec_tables so mw-server serves the same bytes.
+ * The points and --format json come from the catalog driver
+ * (catalog_driver.hh); this file prints the text table.
  */
 
-#include <cstdio>
 #include <iostream>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
 #include "workloads/spec_tables.hh"
 
@@ -28,24 +27,16 @@ using namespace memwall;
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv);
-    if (!opt.json())
-        benchutil::banner("Table 1 - SS-5 vs SS-10/61 on Synopsys",
-                          opt);
-
-    const std::uint64_t refs =
-        resolveTable1Refs(opt.quick, opt.refs);
+    const auto run =
+        benchutil::runCatalog(server::Experiment::Table1, argc, argv);
+    if (run.opt.json())
+        return 0;
+    benchutil::banner("Table 1 - SS-5 vs SS-10/61 on Synopsys",
+                      run.opt);
 
     // Canonical point order: synopsys, 130.li, 132.ijpeg on SS-5
     // then SS-10/61 each (the composite runs at refs/2).
-    const std::vector<MachineRun> points = runTable1(refs);
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(table1Json(points).c_str(), stdout);
-        return 0;
-    }
-
+    const std::vector<MachineRun> points = run.results<MachineRun>();
     const MachineRun &syn5 = points[0];
     const MachineRun &syn10 = points[1];
     // "Spec'92-like" score: instructions/second on the composite,

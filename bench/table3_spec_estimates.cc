@@ -5,17 +5,15 @@
  * array and NO victim cache. The paper's own numbers are printed
  * alongside for comparison.
  *
- * Parameter resolution, per-point seeding and the --format=json
- * renderer live in workloads/spec_tables so mw-server serves the
- * same bytes.
+ * The points, their per-point seeds and --format json come from the
+ * catalog driver (catalog_driver.hh); this file prints the text
+ * table.
  */
 
-#include <cstdio>
 #include <iostream>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
-#include "harness/parallel_sweep.hh"
 #include "workloads/spec_tables.hh"
 
 using namespace memwall;
@@ -23,41 +21,14 @@ using namespace memwall;
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv);
-    if (!opt.json())
-        benchutil::banner(
-            "Table 3 - SPEC'95 estimates, no victim cache", opt);
-
-    const SpecEvalParams params =
-        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
-
-    // Estimate every row as an independent sweep point; commits land
-    // in suite order, so `rows` matches the serial library runner.
-    std::vector<SpecEstimate> rows;
-    ParallelSweep<SpecEstimate> sweep(opt.jobs, opt.seed);
-    for (const SpecWorkload *w : specTableWorkloads()) {
-        sweep.submit(
-            [w, &params](const PointContext &ctx) {
-                // Per-point stream derived from (--seed, index):
-                // reordering or parallelising points cannot perturb
-                // another point's draws.
-                SpecEvalParams p = params;
-                p.seed = ctx.seed;
-                return runSpecTablePoint(*w, /*victim_cache=*/false,
-                                         p);
-            },
-            [&rows](const PointContext &, SpecEstimate est) {
-                rows.push_back(std::move(est));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(specTableJson(false, rows).c_str(), stdout);
+    const auto run =
+        benchutil::runCatalog(server::Experiment::Table3, argc, argv);
+    if (run.opt.json())
         return 0;
-    }
+    benchutil::banner("Table 3 - SPEC'95 estimates, no victim cache",
+                      run.opt);
 
+    const std::vector<SpecEstimate> rows = run.results<SpecEstimate>();
     TextTable table("Table 3: SPEC'95 estimates (no victim cache)");
     table.setHeader({"name", "CPI [cpu+mem]", "Spec-ratio",
                      "paper CPI", "paper ratio"});

@@ -43,7 +43,7 @@ using namespace memwall;
 namespace {
 
 constexpr std::initializer_list<const char *> extra_flags = {
-    "--programs"};
+    "--programs", "--format"};
 
 constexpr Addr code_base = 0x1000;
 constexpr Addr data_base = 0x100000;

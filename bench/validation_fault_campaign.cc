@@ -147,8 +147,8 @@ printJson(const CampaignConfig &base, bool clean_ok,
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv,
-                                {"--rates", "--bers", "--nacks"});
+    auto opt = benchutil::parse(
+        argc, argv, {"--rates", "--bers", "--nacks", "--format"});
     if (!opt.json())
         benchutil::banner("Validation - seeded fault campaigns",
                           opt);

@@ -47,9 +47,9 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "harness/parallel_sweep.hh"
-#include "splash_driver.hh"
 #include "workloads/missrate.hh"
 #include "workloads/splash/splash.hh"
+#include "workloads/splash_figures.hh"
 
 using namespace memwall;
 using namespace memwall::cachelabels;
@@ -225,7 +225,7 @@ runSplashPoint(const std::string &kernel, double scale,
 
     SplashParams params;
     params.nprocs = 4;
-    params.machine = benchutil::machineFor("integrated+vc", 4);
+    params.machine = splashMachineFor("integrated+vc", 4);
     params.scale = scale;
 
     Point pt;
@@ -301,7 +301,8 @@ printJson(const std::vector<Point> &spec,
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv, {"--min-speedup"});
+    auto opt =
+        benchutil::parse(argc, argv, {"--min-speedup", "--format"});
     const double min_speedup =
         std::strtod(opt.extraOr("--min-speedup", "5").c_str(),
                     nullptr);

@@ -395,7 +395,7 @@ printJson(const std::vector<KernelResult> &results, int failed)
 int
 main(int argc, char **argv)
 {
-    const auto opt = benchutil::parse(argc, argv);
+    const auto opt = benchutil::parse(argc, argv, {"--format"});
     if (!opt.json())
         benchutil::banner(
             "static characterization vs execution crosscheck", opt);

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "checkpoint/codec.hh"
 #include "common/logging.hh"
 #include "workloads/missrate.hh"
 #include "workloads/spec_suite.hh"
@@ -26,22 +27,23 @@ keyf(const char *fmt, Args... args)
     return buf;
 }
 
-/** Downcast the erased point results back to their concrete type. */
+/** Journal point results of type @p T through its encodeResult /
+ *  decodeResult pair. */
 template <typename T>
-std::vector<T>
-gather(const std::vector<std::shared_ptr<void>> &results)
+void
+setCodec(CatalogPlan &plan)
 {
-    std::vector<T> out;
-    out.reserve(results.size());
-    for (const auto &r : results) {
-        MW_ASSERT(r != nullptr, "render before all points finished");
-        out.push_back(*std::static_pointer_cast<T>(r));
-    }
-    return out;
+    plan.encode = [](ckpt::Encoder &e, const std::shared_ptr<void> &r) {
+        encodeResult(e, *std::static_pointer_cast<T>(r));
+    };
+    plan.decode = [](ckpt::Decoder &d) -> std::shared_ptr<void> {
+        auto r = std::make_shared<T>();
+        return decodeResult(d, *r) ? r : nullptr;
+    };
 }
 
 CatalogPlan
-missRatePlan(const RunRequest &run)
+missRatePlan(const RunRequest &run, ckpt::CheckpointStore *store)
 {
     const MissRateParams params =
         resolveMissRateParams(run.quick, run.refs);
@@ -72,9 +74,9 @@ missRatePlan(const RunRequest &run)
         p.label = "workload '" + w.name + "'";
         const SpecWorkload *wp = &w;
         if (sampled)
-            p.compute = [wp, params, plan] {
+            p.compute = [wp, params, plan, store] {
                 return std::make_shared<SampledWorkloadMissRates>(
-                    measureMissRatesSampled(*wp, params, plan));
+                    measureMissRatesSampled(*wp, params, plan, store));
             };
         else
             p.compute = [wp, params] {
@@ -83,18 +85,21 @@ missRatePlan(const RunRequest &run)
             };
         out.points.push_back(std::move(p));
     }
-    if (sampled)
+    if (sampled) {
         out.render =
             [fig](const std::vector<std::shared_ptr<void>> &r) {
                 return missRateFigureSampledJson(
-                    fig, gather<SampledWorkloadMissRates>(r));
+                    fig, pointResults<SampledWorkloadMissRates>(r));
             };
-    else
+        setCodec<SampledWorkloadMissRates>(out);
+    } else {
         out.render =
             [fig](const std::vector<std::shared_ptr<void>> &r) {
-                return missRateFigureJson(fig,
-                                          gather<WorkloadMissRates>(r));
+                return missRateFigureJson(
+                    fig, pointResults<WorkloadMissRates>(r));
             };
+        setCodec<WorkloadMissRates>(out);
+    }
     return out;
 }
 
@@ -119,7 +124,7 @@ table1Plan(const RunRequest &run)
         out.points.push_back(std::move(p));
     }
     out.render = [](const std::vector<std::shared_ptr<void>> &r) {
-        return table1Json(gather<MachineRun>(r));
+        return table1Json(pointResults<MachineRun>(r));
     };
     return out;
 }
@@ -154,21 +159,9 @@ specTablePlan(const RunRequest &run)
         out.points.push_back(std::move(point));
     }
     out.render = [vc](const std::vector<std::shared_ptr<void>> &r) {
-        return specTableJson(vc, gather<SpecEstimate>(r));
+        return specTableJson(vc, pointResults<SpecEstimate>(r));
     };
     return out;
-}
-
-SplashFigure
-splashFigureOf(Experiment exp)
-{
-    switch (exp) {
-    case Experiment::Fig13Lu: return SplashFigure::Fig13Lu;
-    case Experiment::Fig14Mp3d: return SplashFigure::Fig14Mp3d;
-    case Experiment::Fig15Ocean: return SplashFigure::Fig15Ocean;
-    case Experiment::Fig16Water: return SplashFigure::Fig16Water;
-    default: return SplashFigure::Fig17Pthor;
-    }
 }
 
 CatalogPlan
@@ -214,13 +207,13 @@ splashPlan(const RunRequest &run)
         out.render = [fig, scale, nodes](
                          const std::vector<std::shared_ptr<void>> &r) {
             return splashFigureSampledJson(fig, scale, nodes,
-                                           gather<SplashResult>(r));
+                                           pointResults<SplashResult>(r));
         };
     else
         out.render = [fig, scale, nodes](
                          const std::vector<std::shared_ptr<void>> &r) {
             return splashFigureJson(fig, scale, nodes,
-                                    gather<SplashResult>(r));
+                                    pointResults<SplashResult>(r));
         };
     return out;
 }
@@ -229,13 +222,14 @@ splashPlan(const RunRequest &run)
 
 CatalogPlan
 buildCatalogPlan(const RunRequest &run,
-                 const std::string &fault_scope)
+                 const std::string &fault_scope,
+                 ckpt::CheckpointStore *store)
 {
     CatalogPlan plan;
     switch (run.experiment) {
     case Experiment::Fig7:
     case Experiment::Fig8:
-        plan = missRatePlan(run);
+        plan = missRatePlan(run, store);
         break;
     case Experiment::Table1:
         plan = table1Plan(run);

@@ -21,6 +21,10 @@
  * pass serves both figures. Fault-injected requests get their
  * canonical key appended to every unit key, so a fault can never
  * poison a clean request's shared unit.
+ *
+ * The one-shot catalog benches run the same plans through
+ * bench/catalog_driver.hh, so this file is the only definition of
+ * these ten experiments.
  */
 
 #ifndef MEMWALL_SERVER_CATALOG_HH
@@ -31,9 +35,16 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "server/protocol.hh"
 
 namespace memwall {
+namespace ckpt {
+class CheckpointStore;
+class Decoder;
+class Encoder;
+} // namespace ckpt
+
 namespace server {
 
 /** One independent computation of an experiment. */
@@ -60,17 +71,41 @@ struct CatalogPlan
     std::function<std::string(
         const std::vector<std::shared_ptr<void>> &)>
         render;
+    /** Journal codec for one point result (the bench's --resume).
+     *  Set for the miss-rate figures only; decode returns null on
+     *  malformed bytes. */
+    std::function<void(ckpt::Encoder &, const std::shared_ptr<void> &)>
+        encode;
+    std::function<std::shared_ptr<void>(ckpt::Decoder &)> decode;
 };
+
+/** Downcast finished point results (plan order, all non-null) back
+ *  to the experiment's concrete point type. */
+template <typename T>
+std::vector<T>
+pointResults(const std::vector<std::shared_ptr<void>> &results)
+{
+    std::vector<T> out;
+    out.reserve(results.size());
+    for (const auto &r : results) {
+        MW_ASSERT(r != nullptr, "render before all points finished");
+        out.push_back(*std::static_pointer_cast<T>(r));
+    }
+    return out;
+}
 
 /**
  * Decompose a validated @p run into its catalog plan. The request
- * must have passed parseRequest() validation; @p fault_scope is
+ * must have passed validateRun(); @p fault_scope is
  * appended to every unit key when non-empty (the server passes the
  * fault-suffixed canonical key so fault-injected units are never
- * shared).
+ * shared). @p store, when given, holds warm-state checkpoints for
+ * sampled fig7/fig8 points (the bench's --ckpt-dir); the server
+ * passes none.
  */
 CatalogPlan buildCatalogPlan(const RunRequest &run,
-                             const std::string &fault_scope);
+                             const std::string &fault_scope,
+                             ckpt::CheckpointStore *store = nullptr);
 
 } // namespace server
 } // namespace memwall

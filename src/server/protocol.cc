@@ -110,9 +110,6 @@ experimentAcceptsSample(Experiment exp)
     return experimentIsMissRate(exp) || experimentIsSplash(exp);
 }
 
-namespace {
-
-/** The SPLASH figure behind a catalogued splash experiment. */
 SplashFigure
 splashFigureOf(Experiment exp)
 {
@@ -124,6 +121,8 @@ splashFigureOf(Experiment exp)
     default: return SplashFigure::Fig17Pthor;
     }
 }
+
+namespace {
 
 /** Schema-check one field as an exact uint64, with a named error. */
 bool
@@ -167,11 +166,8 @@ parseFault(const JsonValue &v, RunRequest &run, ErrorCode &code,
     return true;
 }
 
-/**
- * Fields apply per experiment: a field the catalog entry would
- * silently ignore is rejected instead, so a client never believes it
- * configured something it did not.
- */
+} // namespace
+
 bool
 validateRun(const RunRequest &run, ErrorCode &code,
             std::string &detail)
@@ -204,8 +200,6 @@ validateRun(const RunRequest &run, ErrorCode &code,
     }
     return true;
 }
-
-} // namespace
 
 bool
 parseRequest(const std::string &payload, Request &out,

@@ -48,6 +48,7 @@
 
 #include "sampling/plan.hh"
 #include "workloads/missrate_figures.hh"
+#include "workloads/splash_figures.hh"
 
 namespace memwall {
 namespace server {
@@ -107,6 +108,9 @@ bool experimentIsMissRate(Experiment exp);
 /** True when "sample" applies to @p exp (miss-rate + SPLASH). */
 bool experimentAcceptsSample(Experiment exp);
 
+/** The SPLASH figure behind a splash experiment (fig13..fig17). */
+SplashFigure splashFigureOf(Experiment exp);
+
 /**
  * Upper bound on "deadline_ms": one day. Larger values are rejected
  * with bad_param at parse time — std::chrono::milliseconds has a
@@ -149,6 +153,18 @@ struct Request
  */
 bool parseRequest(const std::string &payload, Request &out,
                   ErrorCode &code, std::string &detail);
+
+/**
+ * Check that every field of @p run applies to its experiment: a field
+ * the catalog entry would silently ignore (refs on a SPLASH figure,
+ * sample on a table, nodes outside the SPLASH figures or above their
+ * axis) fails with bad_param and a detail naming the field, so a
+ * caller never believes it configured something it did not.
+ * parseRequest() applies it to every run request; the one-shot
+ * catalog benches apply it to their flags.
+ */
+bool validateRun(const RunRequest &run, ErrorCode &code,
+                 std::string &detail);
 
 /**
  * Canonical description of a run: the experiment, its resolved

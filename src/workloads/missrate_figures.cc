@@ -1,12 +1,9 @@
 #include "workloads/missrate_figures.hh"
 
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 
 #include "common/logging.hh"
-#include "harness/thread_pool.hh"
 #include "workloads/json_text.hh"
 
 namespace memwall {
@@ -42,30 +39,6 @@ runMissRateFigure(MissRateFigure fig, const MissRateParams &params)
     std::vector<WorkloadMissRates> all;
     for (const auto &w : specSuite())
         all.push_back(measureMissRates(w, params));
-    return all;
-}
-
-std::vector<WorkloadMissRates>
-runMissRateFigure(MissRateFigure fig, const MissRateParams &params,
-                  ThreadPool &pool)
-{
-    (void)fig;
-    const auto &suite = specSuite();
-    std::vector<WorkloadMissRates> all(suite.size());
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t done = 0;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        pool.submit([&, i] {
-            WorkloadMissRates r = measureMissRates(suite[i], params);
-            std::lock_guard<std::mutex> lock(mu);
-            all[i] = std::move(r);
-            ++done;
-            cv.notify_all();
-        });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == suite.size(); });
     return all;
 }
 

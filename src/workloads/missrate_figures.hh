@@ -23,8 +23,6 @@
 
 namespace memwall {
 
-class ThreadPool;
-
 /** Which miss-rate figure a request regenerates. */
 enum class MissRateFigure {
     ICache, ///< Figure 7: instruction caches
@@ -52,15 +50,6 @@ MissRateParams resolveMissRateParams(bool quick, std::uint64_t refs);
  */
 std::vector<WorkloadMissRates>
 runMissRateFigure(MissRateFigure fig, const MissRateParams &params);
-
-/**
- * Same sweep sharded across @p pool (one task per workload), results
- * still committed in suite order. Byte-identical to the serial
- * overload; points must not touch shared mutable state.
- */
-std::vector<WorkloadMissRates>
-runMissRateFigure(MissRateFigure fig, const MissRateParams &params,
-                  ThreadPool &pool);
 
 /**
  * Render @p all as the figure's --format=json document, byte for

@@ -107,15 +107,6 @@ runTable1Point(std::size_t index, std::uint64_t refs)
     return out;
 }
 
-std::vector<MachineRun>
-runTable1(std::uint64_t refs)
-{
-    std::vector<MachineRun> points;
-    for (std::size_t i = 0; i < table1_points; ++i)
-        points.push_back(runTable1Point(i, refs));
-    return points;
-}
-
 std::string
 table1Json(const std::vector<MachineRun> &points)
 {
@@ -195,22 +186,6 @@ runSpecTablePoint(const SpecWorkload &workload, bool victim_cache,
                   const SpecEvalParams &params)
 {
     return estimateIntegrated(workload, victim_cache, params);
-}
-
-std::vector<SpecEstimate>
-runSpecTable(bool victim_cache, const SpecEvalParams &params)
-{
-    std::vector<SpecEstimate> rows;
-    const auto workloads = specTableWorkloads();
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        SpecEvalParams p = params;
-        // Per-point stream derived from (seed, index), matching the
-        // ParallelSweep derivation the one-shot binaries use.
-        p.seed = specTablePointSeed(params.seed, i);
-        rows.push_back(
-            runSpecTablePoint(*workloads[i], victim_cache, p));
-    }
-    return rows;
 }
 
 const char *

@@ -58,9 +58,6 @@ std::uint64_t table1PointRefs(std::size_t index, std::uint64_t refs);
 /** Execute point @p index of the table at resolved @p refs. */
 MachineRun runTable1Point(std::size_t index, std::uint64_t refs);
 
-/** Run all six points serially, in canonical order. */
-std::vector<MachineRun> runTable1(std::uint64_t refs);
-
 /**
  * Render the six point results (canonical order) as the
  * --format=json document, trailing newline included.
@@ -96,10 +93,6 @@ std::uint64_t specTablePointSeed(std::uint64_t seed,
 SpecEstimate runSpecTablePoint(const SpecWorkload &workload,
                                bool victim_cache,
                                const SpecEvalParams &params);
-
-/** Run every row serially, in specTableWorkloads() order. */
-std::vector<SpecEstimate> runSpecTable(bool victim_cache,
-                                       const SpecEvalParams &params);
 
 /** "table3_spec_estimates" / "table4_spec_estimates_vc". */
 const char *specTableName(bool victim_cache);

@@ -16,6 +16,7 @@
 #define MEMWALL_WORKLOADS_SPLASH_FIGURES_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -72,21 +73,14 @@ std::vector<unsigned> splashCpuCounts(std::uint64_t nodes);
  * Execute one (arch, ncpus) point of @p fig at problem @p scale;
  * @p plan attaches a sampled-simulation schedule (null = exhaustive).
  * Deterministic: the kernels seed from the problem, not the caller.
+ * A sweep runs the points arch-major in splashArchs() order, then by
+ * ascending processor count -- the order every renderer below
+ * expects.
  */
 SplashResult runSplashFigurePoint(SplashFigure fig,
                                   const std::string &arch,
                                   unsigned ncpus, double scale,
                                   const SamplingPlan *plan);
-
-/**
- * Run the full sweep serially, arch-major in splashArchs() order
- * then ascending processor count — the order every renderer below
- * expects.
- */
-std::vector<SplashResult> runSplashFigure(SplashFigure fig,
-                                          double scale,
-                                          std::uint64_t nodes,
-                                          const SamplingPlan *plan);
 
 /**
  * Render exhaustive results as the figure's --format=json document
@@ -107,6 +101,24 @@ std::string
 splashFigureSampledJson(SplashFigure fig, double scale,
                         std::uint64_t nodes,
                         const std::vector<SplashResult> &points);
+
+/**
+ * Whether every point computed the same answer as the first: the
+ * architectures differ only in timing, so any checksum mismatch is a
+ * simulator bug.
+ */
+bool splashChecksumsMatch(const std::vector<SplashResult> &points);
+
+/**
+ * Print the bench's text report below its banner: the Table 6
+ * latencies, then the execution-time chart normalised to the first
+ * point (or, for a sampled run under @p plan, the mean data-access
+ * latency table) and the cross-architecture checksum verdict.
+ */
+void printSplashFigureText(std::ostream &os, SplashFigure fig,
+                           double scale, std::uint64_t nodes,
+                           const SamplingPlan *plan,
+                           const std::vector<SplashResult> &points);
 
 } // namespace memwall
 

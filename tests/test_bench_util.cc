@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the bench option-parsing helpers: --jobs/--refs/--seed/
- * --quick, registered extra flags, and the comma-list parsers.
+ * --quick, registered extra flags (--format among them), and the
+ * comma-list parsers.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +144,33 @@ TEST(BenchUtilDeathTest, TrailingJunkInValueRejected)
     EXPECT_EXIT(benchutil::parse(a.argc(), a.argv()),
                 testing::ExitedWithCode(2),
                 "invalid value '12x' for --refs");
+}
+
+TEST(BenchUtilDeathTest, FormatRejectedUnlessRegistered)
+{
+    // A bench without a JSON renderer must refuse the flag, never
+    // print text under a JSON request.
+    Argv a{"bench", "--format", "json"};
+    EXPECT_EXIT(benchutil::parse(a.argc(), a.argv(), {"--reseeds"}),
+                testing::ExitedWithCode(2),
+                "unknown flag '--format'");
+}
+
+TEST(BenchUtil, RegisteredFormatSelectsJson)
+{
+    Argv a{"bench", "--format", "json"};
+    const auto opt =
+        benchutil::parse(a.argc(), a.argv(), {"--format"});
+    EXPECT_TRUE(opt.json());
+    EXPECT_TRUE(opt.extra.empty());
+}
+
+TEST(BenchUtilDeathTest, RegisteredFormatRejectsOtherValues)
+{
+    Argv a{"bench", "--format", "xml"};
+    EXPECT_EXIT(benchutil::parse(a.argc(), a.argv(), {"--format"}),
+                testing::ExitedWithCode(2),
+                "invalid value 'xml' for --format");
 }
 
 TEST(BenchUtil, SplitListBasic)
