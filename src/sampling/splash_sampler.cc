@@ -9,15 +9,20 @@ namespace memwall {
 namespace {
 
 /**
- * Quantum multiplier during fast-forward. Larger values make token
- * hand-offs rarer but coarsen the CPU interleaving, which perturbs
- * the coherence traffic the warm window then has to re-establish; a
+ * Quantum multiplier during fast-forward. A token hand-off is one
+ * cheap fiber switch, so the value buys little host time; it is kept
+ * because sampled output bytes and the sampled goldens depend on it.
+ * Larger values coarsen the CPU interleaving, which perturbs the
+ * coherence traffic the warm window then has to re-establish; a
  * modest 16x keeps the distortion inside the sampling noise
  * (validated by bench/validation_sampling_crosscheck).
  */
 constexpr Tick ff_quantum_scale = 16;
 
-/** Fast-forward accesses batched per scheduler advance. */
+/**
+ * Fast-forward accesses batched per scheduler advance; fixed for the
+ * same reason as the quantum multiplier.
+ */
 constexpr std::uint32_t ff_flush_accesses = 512;
 
 } // namespace

@@ -19,9 +19,9 @@
  *   Fast-forward  coarse scheduling, no statistics. The simulated
  *                 time of a batch of accesses is charged to the
  *                 scheduler in one advance, and the skew quantum is
- *                 moderately inflated, so token hand-offs — the
- *                 dominant host cost of the execution-driven model —
- *                 become rare.
+ *                 moderately inflated, so token hand-offs become
+ *                 rare. (Batch size and inflation are fixed: sampled
+ *                 output bytes and goldens depend on them.)
  *
  * Coarse scheduling perturbs only the interleaving (every access
  * still reaches the caches, directory and INC), and the warm window
