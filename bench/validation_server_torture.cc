@@ -23,12 +23,14 @@
  *                result, and a re-request is served from cache —
  *                byte-identical, with zero recomputation;
  *
- *   degradation  injected faults (--allow-test-faults) exercise the
- *                failure ladder: transient faults are retried to
- *                success, persistent faults surface worker_failed, a
- *                short deadline surfaces deadline_exceeded, and a
- *                full inflight table sheds with overloaded plus a
- *                retry_after_ms hint;
+ *   degradation  one real, uncached fig7 computation sized to run
+ *                far past a 30 ms deadline: the deadline surfaces
+ *                deadline_exceeded, a second request joins the
+ *                still-running computation and holds the single
+ *                inflight slot, and a different request is shed with
+ *                overloaded plus a retry_after_ms hint (a throwing
+ *                point's worker_failed is covered in-process by
+ *                tests/test_server.cc);
  *
  *   catalog      every other catalog entry — table1, table3, a
  *                SPLASH figure and a sampled fig7 — is served
@@ -45,7 +47,7 @@
  *
  *   client       the mw-client binary itself: exit 0 on success,
  *                nonzero on a server-side error response
- *                (worker_failed), and --timeout-ms bounds a connect
+ *                (bad_param), and --timeout-ms bounds a connect
  *                to a bound-but-wedged socket whose accept backlog
  *                is full (the case a read timeout can never catch);
  *
@@ -131,9 +133,8 @@ spawnServer(const std::string &socket_path,
             const std::vector<std::string> &extra)
 {
     std::vector<std::string> args = {
-        MWSERVER_BIN,  "--socket",  socket_path, "--cache-dir",
-        cache_dir,     "--jobs",    std::to_string(jobs),
-        "--allow-test-faults"};
+        MWSERVER_BIN, "--socket", socket_path, "--cache-dir",
+        cache_dir,    "--jobs",   std::to_string(jobs)};
     args.insert(args.end(), extra.begin(), extra.end());
 
     const pid_t pid = ::fork();
@@ -620,8 +621,7 @@ main(int argc, char **argv)
     // same cache directory (journal replay); small inflight table so
     // the degradation leg can fill it.
     pid = spawnServer(socket_path, cache_dir, jobs,
-                      {"--max-inflight", "1", "--max-retries", "2",
-                       "--backoff-base-ms", "1"});
+                      {"--max-inflight", "1"});
     gate("restart reclaims stale socket",
          waitForServer(socket_path, pid),
          "bind over the dead server's socket file");
@@ -663,40 +663,39 @@ main(int argc, char **argv)
          "computed=0 on the restarted server");
 
     // ---- degradation leg ------------------------------------------
-    // Transient faults: two injected failures, three attempts.
-    const std::string retried = rpc(
-        socket_path, runRequest("fig7", refs, 7'001,
-                                R"(,"fault":{"fail_points":2})"));
-    gate("transient faults retried to success",
-         resultBytes(retried) == golden7,
-         "fail_points=2 vs max-retries=2");
-
-    // Persistent faults: more failures than attempts.
-    gate("persistent faults surface worker_failed",
-         errorCodeOf(rpc(socket_path,
-                         runRequest(
-                             "fig7", refs, 7'002,
-                             R"(,"fault":{"fail_points":10000})"))) ==
-             "worker_failed",
-         "fail_points=10000");
-
-    // Deadline: every point hangs 150 ms, the client allows 30 ms.
+    // One real key K: fig7 at a window sized so its computation runs
+    // well past ten times the 30 ms deadline, on a seed nothing has
+    // used, so it is neither cached nor in flight yet.
+    constexpr std::uint64_t k_refs = 600'000;
+    const std::string req_k = runRequest("fig7", k_refs, 7'003);
+    const auto t_k = std::chrono::steady_clock::now();
     gate("deadline surfaces deadline_exceeded",
-         errorCodeOf(rpc(
-             socket_path,
-             runRequest(
-                 "fig7", refs, 7'003,
-                 R"(,"deadline_ms":30,"fault":{"hang_ms":150})"))) ==
+         errorCodeOf(rpc(socket_path,
+                         runRequest("fig7", k_refs, 7'003,
+                                    R"(,"deadline_ms":30)"))) ==
              "deadline_exceeded",
-         "30ms deadline vs 150ms/point hang");
+         "30ms deadline vs an uncached fig7 refs=" +
+             std::to_string(k_refs));
 
-    // Overload: hog the single inflight slot, then ask for more.
+    // K keeps computing after the deadline. A request without one
+    // joins it, and the two hold the single inflight slot together.
+    std::string hog_resp;
+    std::uint64_t k_ms = 0;
     std::thread hog([&] {
-        rpc(socket_path,
-            runRequest("fig7", refs, 7'004,
-                       R"(,"fault":{"hang_ms":400})"));
+        hog_resp = rpc(socket_path, req_k);
+        k_ms = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t_k)
+                .count());
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Poll, never sleep: the joiner is in once stats count it.
+    bool slot_held = false;
+    const auto give_up = t_k + std::chrono::seconds(30);
+    while (!slot_held && std::chrono::steady_clock::now() < give_up) {
+        const std::string st = rpc(socket_path, R"({"cmd":"stats"})");
+        slot_held = statNumber(st, "", "inflight") == 1.0 &&
+                    statNumber(st, "counters", "dedup_joined") >= 1.0;
+    }
     const std::string shed_resp =
         rpc(socket_path, runRequest("fig8", refs, 7'005));
     JsonValue shed_json;
@@ -708,9 +707,14 @@ main(int argc, char **argv)
         shed_parsed && shed_json.find("error")->find(
                            "retry_after_ms") != nullptr;
     gate("overload sheds with retry_after",
-         errorCodeOf(shed_resp) == "overloaded" && has_retry_after,
-         "max-inflight=1, slot hogged by a hanging run");
+         slot_held && errorCodeOf(shed_resp) == "overloaded" &&
+             has_retry_after,
+         "max-inflight=1, slot held by K and a joined request");
+    // Joining the hog leaves nothing in flight for the later legs.
     hog.join();
+    gate("joined request is served when K finishes",
+         !resultBytes(hog_resp).empty(),
+         "K computed in " + std::to_string(k_ms) + "ms");
 
     // ---- client leg -----------------------------------------------
     // The real mw-client binary. Success is exit 0 (a cached key, so
@@ -722,13 +726,12 @@ main(int argc, char **argv)
     gate("mw-client exits 0 on success", client_ok.exit_code == 0,
          "exit=" + std::to_string(client_ok.exit_code));
 
-    // ...and a server-side error response — worker_failed from an
-    // injected persistent fault — is exit 1, not a swallowed "ok".
+    // ...and a server-side error response — bad_param for a machine
+    // size past the SPLASH axis — is exit 1, not a swallowed "ok".
     const ClientRun client_fail = runClient(
         {"--socket", socket_path, "--timeout-ms", "120000", "send",
-         runRequest("fig7", refs, 7'101,
-                    R"(,"fault":{"fail_points":10000})")});
-    gate("mw-client exits nonzero on worker_failed",
+         R"({"cmd":"run","experiment":"fig13","nodes":17})"});
+    gate("mw-client exits nonzero on an error response",
          client_fail.exit_code == 1,
          "exit=" + std::to_string(client_fail.exit_code));
 

@@ -243,9 +243,7 @@ buildCatalogPlan(const RunRequest &run,
         break;
     }
     if (!fault_scope.empty())
-        // Scope fault-injected units to their own request: the
-        // injected failures and hangs must never leak into a clean
-        // request's shared computation.
+        // A scoped plan shares no unit with any other plan.
         for (CatalogPoint &p : plan.points)
             p.unit_key += "|scope=" + fault_scope;
     return plan;

@@ -18,9 +18,7 @@
  * to produce interchangeable results, which is what lets the
  * batching layer run one computation for all of them: fig7 and fig8
  * at the same window both need measureMissRates() per workload — one
- * pass serves both figures. Fault-injected requests get their
- * canonical key appended to every unit key, so a fault can never
- * poison a clean request's shared unit.
+ * pass serves both figures.
  *
  * The one-shot catalog benches run the same plans through
  * bench/catalog_driver.hh, so this file is the only definition of
@@ -96,12 +94,11 @@ pointResults(const std::vector<std::shared_ptr<void>> &results)
 
 /**
  * Decompose a validated @p run into its catalog plan. The request
- * must have passed validateRun(); @p fault_scope is
- * appended to every unit key when non-empty (the server passes the
- * fault-suffixed canonical key so fault-injected units are never
- * shared). @p store, when given, holds warm-state checkpoints for
- * sampled fig7/fig8 points (the bench's --ckpt-dir); the server
- * passes none.
+ * must have passed validateRun(); @p fault_scope, when non-empty, is
+ * appended to every unit key so the plan's points never coalesce
+ * with another plan's (every caller passes ""). @p store, when
+ * given, holds warm-state checkpoints for sampled fig7/fig8 points
+ * (the bench's --ckpt-dir); the server passes none.
  */
 CatalogPlan buildCatalogPlan(const RunRequest &run,
                              const std::string &fault_scope,

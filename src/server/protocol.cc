@@ -27,8 +27,6 @@ errorCodeName(ErrorCode code)
     case ErrorCode::BadRequest: return "bad_request";
     case ErrorCode::UnknownExperiment: return "unknown_experiment";
     case ErrorCode::BadParam: return "bad_param";
-    case ErrorCode::FaultInjectionDisabled:
-        return "fault_injection_disabled";
     case ErrorCode::Overloaded: return "overloaded";
     case ErrorCode::DeadlineExceeded: return "deadline_exceeded";
     case ErrorCode::WorkerFailed: return "worker_failed";
@@ -134,34 +132,6 @@ takeU64(const JsonValue &v, const char *field, std::uint64_t &out,
         detail = std::string("field \"") + field +
                  "\" must be a non-negative integer";
         return false;
-    }
-    return true;
-}
-
-bool
-parseFault(const JsonValue &v, RunRequest &run, ErrorCode &code,
-           std::string &detail)
-{
-    if (!v.isObject()) {
-        code = ErrorCode::BadRequest;
-        detail = "field \"fault\" must be an object";
-        return false;
-    }
-    run.has_fault = true;
-    for (const auto &m : v.members) {
-        if (m.first == "fail_points") {
-            if (!takeU64(m.second, "fault.fail_points",
-                         run.fault_fail_points, code, detail))
-                return false;
-        } else if (m.first == "hang_ms") {
-            if (!takeU64(m.second, "fault.hang_ms",
-                         run.fault_hang_ms, code, detail))
-                return false;
-        } else {
-            code = ErrorCode::BadRequest;
-            detail = "unknown fault field \"" + m.first + "\"";
-            return false;
-        }
     }
     return true;
 }
@@ -310,9 +280,6 @@ parseRequest(const std::string &payload, Request &out,
                          std::to_string(max_deadline_ms);
                 return false;
             }
-        } else if (key == "fault") {
-            if (!parseFault(v, out.run, code, detail))
-                return false;
         } else {
             code = ErrorCode::BadRequest;
             detail = "unknown field \"" + key + "\"";

@@ -16,16 +16,12 @@
  *       "sample": "U=..,W=..,k=..[,..]",   (fig7/fig8/splash only)
  *       "nodes": <uint 1..16>,             (splash only; 0 = full axis)
  *       "deadline_ms": <uint>,             (default 0 = none; capped)
- *       "fault": {"fail_points": <uint>, "hang_ms": <uint>}
  *     }
  *
- * Unknown top-level or fault fields are rejected by name — a typo'd
- * "qick" must not silently run the full-size experiment — and fields
- * that do not apply to the requested experiment (refs on a SPLASH
- * figure, sample on a table) are rejected rather than ignored.
- * "fault" is only honoured when the server runs with
- * --allow-test-faults; it exists for the torture harness and makes a
- * request non-cacheable.
+ * Unknown fields are rejected by name — a typo'd "qick" must not
+ * silently run the full-size experiment — and fields that do not
+ * apply to the requested experiment (refs on a SPLASH figure, sample
+ * on a table) are rejected rather than ignored.
  *
  * Responses (one frame each):
  *
@@ -61,10 +57,9 @@ enum class ErrorCode {
     BadRequest,      ///< schema violation (unknown/missing/mistyped)
     UnknownExperiment, ///< "experiment" not in the catalog
     BadParam,        ///< a field parsed but its value is unusable
-    FaultInjectionDisabled, ///< "fault" without --allow-test-faults
     Overloaded,      ///< admission control shed the request
     DeadlineExceeded, ///< computation missed the request deadline
-    WorkerFailed,    ///< computation kept failing after retries
+    WorkerFailed,    ///< a point of the computation threw
     Quarantined,     ///< key wedged earlier; watchdog fenced it off
     ShuttingDown,    ///< server is draining
     Internal,        ///< invariant failure inside the server
@@ -130,10 +125,6 @@ struct RunRequest
     bool has_sample = false;
     SamplingPlan sample; ///< valid when has_sample
     std::uint64_t deadline_ms = 0; ///< 0 = no deadline
-    // Fault injection (torture harness only; gated server-side).
-    bool has_fault = false;
-    std::uint64_t fault_fail_points = 0; ///< first N points throw
-    std::uint64_t fault_hang_ms = 0;     ///< each point sleeps this
 };
 
 /** A parsed request of any command. */

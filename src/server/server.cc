@@ -1,9 +1,7 @@
 #include "server/server.hh"
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <stdexcept>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -11,7 +9,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "server/catalog.hh"
 #include "server/json.hh"
 #include "server/wire.hh"
 
@@ -26,6 +23,11 @@ ms(std::uint64_t v)
     return std::chrono::milliseconds(v);
 }
 
+/** retry_after_ms on an overloaded rejection. A fixed hint: the
+ *  server cannot predict when a slot frees, and a client only needs
+ *  a short pause before it asks again. */
+constexpr long overloaded_retry_after_ms = 80;
+
 void
 setCloexec(int fd)
 {
@@ -36,33 +38,17 @@ setCloexec(int fd)
 
 } // namespace
 
-std::uint64_t
-saturatingBackoffMs(std::uint64_t base_ms, unsigned exponent)
-{
-    constexpr std::uint64_t cap_ms = 60'000;
-    if (base_ms == 0)
-        return 0;
-    if (base_ms >= cap_ms || exponent >= 16)
-        return cap_ms;
-    // base_ms < 2^16 and exponent < 16: the shift fits easily.
-    return std::min(base_ms << exponent, cap_ms);
-}
-
 /** Scatter/gather context for one deduplicated experiment run.
- *  remaining/results/failed are guarded by MwServer::mu_; the fault
- *  countdown is atomic because units decrement it concurrently
- *  outside the lock. */
+ *  remaining/results/failed are guarded by MwServer::mu_. */
 struct MwServer::ComputeJob
 {
     std::string canonical;
     std::shared_ptr<Inflight> entry;
-    RunRequest run;
     CatalogPlan plan;
     std::vector<std::shared_ptr<void>> results; ///< one per point
     std::size_t remaining = 0;
     bool failed = false;
     std::string fail_detail;
-    std::atomic<std::int64_t> fault_countdown{0};
 };
 
 /** One deduplicated computation inside a batch pass: the compute
@@ -74,11 +60,6 @@ struct MwServer::ComputeUnit
 {
     std::string label;
     std::function<std::shared_ptr<void>()> compute;
-    /** The owning job when this unit is fault-injected; unit keys of
-     *  fault runs are scoped to their canonical key, so a fault unit
-     *  has exactly one subscriber and this is it. Null for clean
-     *  units. */
-    std::shared_ptr<ComputeJob> fault_job;
     std::vector<std::pair<std::shared_ptr<ComputeJob>, std::size_t>>
         subscribers;
 };
@@ -143,7 +124,6 @@ MwServer::start(std::string *why)
     stopping_ = false;
     pending_.clear();
     inflight_.clear();
-    last_unit_done_ = Clock::now();
     watchdog_ = std::thread([this] { watchdogLoop(); });
     batcher_ = std::thread([this] { batcherLoop(); });
     started_ = true;
@@ -279,11 +259,9 @@ MwServer::acceptLoop()
             // One named rejection, then close: the client learns to
             // back off instead of hanging on an ignored socket.
             writeFrame(cfd,
-                       errorResponse(
-                           "", ErrorCode::Overloaded,
-                           "connection limit reached",
-                           static_cast<long>(saturatingBackoffMs(
-                               opt_.backoff_base_ms, 3))),
+                       errorResponse("", ErrorCode::Overloaded,
+                                     "connection limit reached",
+                                     overloaded_retry_after_ms),
                        nullptr);
             ::close(cfd);
         }
@@ -383,14 +361,6 @@ MwServer::handlePayload(const std::string &payload, bool &close_after)
         return okResponse(req.id, false,
                           "{\"shutting_down\":true}");
     case Request::Cmd::Run:
-        if (req.run.has_fault && !opt_.allow_test_faults) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++counters_.bad_requests;
-            return errorResponse(
-                req.id, ErrorCode::FaultInjectionDisabled,
-                "the server was not started with "
-                "--allow-test-faults");
-        }
         return handleRun(req);
     }
     return errorResponse(req.id, ErrorCode::Internal,
@@ -403,13 +373,7 @@ MwServer::handleRun(const Request &req)
     const auto arrival = Clock::now();
     const auto deadline = arrival + ms(req.run.deadline_ms);
 
-    std::string canonical = canonicalRunKey(req.run);
-    if (req.run.has_fault)
-        // Fault-injected runs must never collide with (or poison)
-        // the real entry for the same parameters.
-        canonical += "|fault=" +
-                     std::to_string(req.run.fault_fail_points) + "," +
-                     std::to_string(req.run.fault_hang_ms);
+    const std::string canonical = canonicalRunKey(req.run);
 
     std::unique_lock<std::mutex> lk(mu_);
     std::shared_ptr<Inflight> entry;
@@ -434,7 +398,7 @@ MwServer::handleRun(const Request &req)
             ++counters_.dedup_joined;
             break;
         }
-        if (!req.run.has_fault && !probed) {
+        if (!probed) {
             probed = true;
             lk.unlock();
             bool found = false;
@@ -457,30 +421,20 @@ MwServer::handleRun(const Request &req)
             ++counters_.shed;
             return errorResponse(
                 req.id, ErrorCode::Overloaded,
-                "experiment queue is full",
-                static_cast<long>(saturatingBackoffMs(
-                    opt_.backoff_base_ms, 3)));
+                "experiment queue is full", overloaded_retry_after_ms);
         }
         entry = std::make_shared<Inflight>();
         entry->last_progress = arrival;
-        entry->cacheable = !req.run.has_fault;
         inflight_[canonical] = entry;
 
         auto job = std::make_shared<ComputeJob>();
         job->canonical = canonical;
         job->entry = entry;
-        job->run = req.run;
-        // Fault-injected units are scoped to this run's canonical
-        // key (unique while in flight), so they can never coalesce
-        // with — or poison — a clean request's unit.
-        job->plan = buildCatalogPlan(
-            req.run, req.run.has_fault ? canonical : std::string());
+        job->plan = build_plan_(req.run);
         MW_ASSERT(!job->plan.points.empty(),
                   "catalog plan with no points");
         job->results.resize(job->plan.points.size());
         job->remaining = job->plan.points.size();
-        job->fault_countdown = static_cast<std::int64_t>(
-            req.run.has_fault ? req.run.fault_fail_points : 0);
         pending_.push_back(std::move(job));
         batch_cv_.notify_one();
     }
@@ -503,11 +457,9 @@ MwServer::handleRun(const Request &req)
     if (entry->state == Inflight::State::Done)
         return okResponse(req.id, false, entry->result);
     if (entry->state == Inflight::State::Failed)
+        // No retry_after_ms: the same request would fail the same way.
         return errorResponse(req.id, ErrorCode::WorkerFailed,
-                             entry->error_detail,
-                             static_cast<long>(saturatingBackoffMs(
-                                 opt_.backoff_base_ms,
-                                 opt_.max_retries)));
+                             entry->error_detail);
     if (!in_time) {
         ++counters_.deadline_misses;
         return errorResponse(
@@ -564,8 +516,6 @@ MwServer::batcherLoop()
                     slot = std::make_shared<ComputeUnit>();
                     slot->label = pt.label;
                     slot->compute = std::move(pt.compute);
-                    if (job->run.has_fault)
-                        slot->fault_job = job;
                     order.push_back(slot);
                 }
                 slot->subscribers.emplace_back(job, i);
@@ -587,39 +537,28 @@ MwServer::batcherLoop()
 void
 MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
 {
+    {
+        // Starting is progress too: a job that waited in the queue
+        // longer than the grace period must not be fenced off the
+        // moment its first unit finally runs.
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto now = Clock::now();
+        for (const auto &[job, index] : unit->subscribers) {
+            job->entry->last_progress = now;
+            ++job->entry->running_units;
+        }
+    }
+
+    // Each point is a deterministic computation: one that throws
+    // would throw again, so it runs exactly once.
     std::shared_ptr<void> result;
     bool success = false;
-    std::string last_error;
-    const std::shared_ptr<ComputeJob> &fault = unit->fault_job;
-    for (unsigned attempt = 0; attempt <= opt_.max_retries;
-         ++attempt) {
-        if (attempt > 0) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++counters_.retries;
-            }
-            // This backoff (and the fault hang below) sleeps on the
-            // pool worker itself: with a small pool, enough hung or
-            // retrying units can occupy every worker and unrelated
-            // requests queue behind the sleeps. Accepted for an
-            // experiment service whose units normally never sleep;
-            // resubmit-with-delay is the upgrade path if it hurts.
-            std::this_thread::sleep_for(ms(saturatingBackoffMs(
-                opt_.backoff_base_ms, attempt - 1)));
-        }
-        if (fault && fault->run.fault_hang_ms > 0)
-            std::this_thread::sleep_for(
-                ms(fault->run.fault_hang_ms));
-        try {
-            if (fault && fault->fault_countdown.fetch_sub(1) > 0)
-                throw std::runtime_error(
-                    "injected transient worker fault");
-            result = unit->compute();
-            success = true;
-            break;
-        } catch (const std::exception &e) {
-            last_error = e.what();
-        }
+    std::string error;
+    try {
+        result = unit->compute();
+        success = true;
+    } catch (const std::exception &e) {
+        error = e.what();
     }
 
     // Deliver to every subscriber; finalize each job whose last
@@ -629,12 +568,9 @@ MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
     {
         std::lock_guard<std::mutex> lock(mu_);
         const auto now = Clock::now();
-        last_unit_done_ = now;
         for (const auto &[job, index] : unit->subscribers) {
-            // Even a failed attempt is forward motion: the watchdog
-            // fences off computations where NO unit resolves for a
-            // whole grace period, not merely slow ones.
             job->entry->last_progress = now;
+            --job->entry->running_units;
             if (success) {
                 job->results[index] = result;
             } else {
@@ -642,9 +578,7 @@ MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
                 if (!job->failed) {
                     job->failed = true;
                     job->fail_detail =
-                        unit->label + " failed " +
-                        std::to_string(opt_.max_retries + 1) +
-                        " attempts: " + last_error;
+                        unit->label + " failed: " + error;
                 }
             }
             MW_ASSERT(job->remaining > 0,
@@ -675,7 +609,7 @@ MwServer::finalize(const std::shared_ptr<ComputeJob> &job)
     // compaction) runs under cache_mu_ only — never under mu_ — so
     // request handling, stats and the watchdog do not stall behind
     // disk I/O.
-    if (!job->failed && entry->cacheable) {
+    if (!job->failed) {
         std::string why;
         std::lock_guard<std::mutex> cache_lock(cache_mu_);
         if (!cache_.insert(job->canonical, result_json, &why))
@@ -718,16 +652,15 @@ MwServer::watchdogLoop()
             if (entry->state != Inflight::State::Running ||
                 entry->quarantined)
                 continue;
-            // A wedged computation is one where no unit has resolved
-            // for a whole grace period — total age alone would
-            // quarantine a big batched job steadily chewing through
-            // its units on a small pool. And the pool-wide stamp
-            // must be equally stale: a job whose units sit queued
-            // behind someone else's long batch refreshes no stamp of
-            // its own, yet it is waiting its turn, not wedged.
-            if (now - entry->last_progress < ms(opt_.wedge_grace_ms))
-                continue;
-            if (now - last_unit_done_ < ms(opt_.wedge_grace_ms))
+            // A wedged computation is one with a unit executing and
+            // no unit of its own started or resolved for a whole
+            // grace period — total age alone would quarantine a big
+            // batched job steadily chewing through its units on a
+            // small pool. A job with nothing executing has all its
+            // units queued behind someone else's: it is waiting its
+            // turn, not wedged, and is never charged for the stall.
+            if (entry->running_units == 0 ||
+                now - entry->last_progress < ms(opt_.wedge_grace_ms))
                 continue;
             quarantined_.insert(canonical);
             entry->quarantined = true;
@@ -786,7 +719,6 @@ MwServer::statsJson()
            std::to_string(counters.bad_requests);
     out += ",\"deadline_misses\":" +
            std::to_string(counters.deadline_misses);
-    out += ",\"retries\":" + std::to_string(counters.retries);
     out += ",\"worker_failures\":" +
            std::to_string(counters.worker_failures);
     out += ",\"quarantines\":" +

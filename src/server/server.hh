@@ -35,28 +35,30 @@
  *    still worth caching) — it finishes in the background and the
  *    next request is a cache hit.
  *
- *  - Retry: a workload point that throws is retried with exponential
- *    backoff (saturatingBackoffMs(backoff_base_ms, attempt), capped
- *    at one minute) up to max_retries times; only a point that keeps
- *    failing fails the request (worker_failed).
+ *  - No retry: every point is a deterministic catalog computation,
+ *    so one that throws would throw again. It runs once; a throw
+ *    fails every subscribing request with worker_failed (no
+ *    retry_after_ms hint) and nothing is cached.
  *
  *  - Admission control: over max_connections the connection is
  *    answered with one overloaded error (with retry_after_ms) and
  *    closed; over max_inflight a run request is shed the same way.
  *
- *  - Watchdog: a computation still running wedge_grace_ms past its
- *    start is quarantined — new requests for that key fail fast with
- *    "quarantined" instead of piling onto a wedged computation. If
- *    the computation ever does finish, the key is unquarantined and
- *    the result cached like any other.
+ *  - Watchdog: a computation with a unit executing and no unit of
+ *    its own started or finished for wedge_grace_ms is quarantined —
+ *    new requests for that key fail fast with "quarantined" instead
+ *    of piling onto a wedged computation. A request whose units are
+ *    all still queued behind someone else's is waiting, not wedged,
+ *    and is never charged. If the computation ever does finish, the
+ *    key is unquarantined and the result cached like any other.
  *
  *  - Crash recovery: all completed results live in the ResultCache
  *    journal; a SIGKILL'd server replays it on restart and serves
  *    the same bytes as cache hits.
  *
- * Fault injection (the "fault" request field) is honoured only when
- * Options::allow_test_faults is set — it exists so the torture bench
- * can exercise every path above deterministically.
+ * Tests reach the failure paths without touching the wire: the
+ * constructor takes the plan builder, so a test can serve fake plans
+ * whose points block or throw.
  */
 
 #ifndef MEMWALL_SERVER_SERVER_HH
@@ -65,6 +67,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,20 +77,12 @@
 #include <vector>
 
 #include "harness/thread_pool.hh"
+#include "server/catalog.hh"
 #include "server/protocol.hh"
 #include "server/result_cache.hh"
 
 namespace memwall {
 namespace server {
-
-/**
- * base_ms << exponent with saturation at one minute. Every retry
- * sleep and retry_after_ms hint goes through this, so a configurable
- * --max-retries can never push the shift to the width of the type
- * (undefined behaviour at >= 64) or produce an hours-long sleep.
- */
-std::uint64_t saturatingBackoffMs(std::uint64_t base_ms,
-                                  unsigned exponent);
 
 /** Server configuration; defaults suit interactive use. */
 struct ServerOptions
@@ -99,15 +94,12 @@ struct ServerOptions
     std::uint64_t cache_cap_bytes = 0; ///< 0 = unbounded
     std::uint64_t max_connections = 32;
     std::uint64_t max_inflight = 8;
-    unsigned max_retries = 2;          ///< extra attempts per point
-    std::uint64_t backoff_base_ms = 10;
     std::uint64_t wedge_grace_ms = 30'000; ///< no-unit-progress stall
     std::uint64_t watchdog_interval_ms = 100;
     /** Batcher linger before draining the run queue: 0 drains
      *  immediately (requests still coalesce while the pool is
      *  busy); >0 trades latency for larger batches. */
     std::uint64_t batch_window_ms = 0;
-    bool allow_test_faults = false;
 };
 
 /** Monotonic counters, snapshotted for the "stats" command. */
@@ -121,7 +113,6 @@ struct ServerCounters
     std::uint64_t shed = 0;          ///< overload rejections
     std::uint64_t bad_requests = 0;  ///< schema/frame/json rejections
     std::uint64_t deadline_misses = 0;
-    std::uint64_t retries = 0;       ///< point attempts after the first
     std::uint64_t worker_failures = 0;
     std::uint64_t quarantines = 0;
     std::uint64_t unquarantines = 0;
@@ -134,7 +125,19 @@ struct ServerCounters
 class MwServer
 {
   public:
-    explicit MwServer(ServerOptions opt) : opt_(std::move(opt)) {}
+    /** Decomposes a validated run into the points to compute. */
+    using PlanBuilder = std::function<CatalogPlan(const RunRequest &)>;
+
+    /** @p build_plan defaults to the experiment catalog; tests pass
+     *  fake plans whose points block or throw. */
+    explicit MwServer(
+        ServerOptions opt,
+        PlanBuilder build_plan = [](const RunRequest &run) {
+            return buildCatalogPlan(run, "");
+        })
+        : opt_(std::move(opt)), build_plan_(std::move(build_plan))
+    {
+    }
     ~MwServer();
 
     MwServer(const MwServer &) = delete;
@@ -176,14 +179,17 @@ class MwServer
             State::Running;
         std::string result;       ///< figure JSON when Done
         std::string error_detail; ///< when Failed
-        /** Last time any compute unit delivered a result to this
-         *  entry (its arrival time until the first unit lands). The
+        /** Last time a compute unit of this entry started or
+         *  delivered its result (the arrival time before that). The
          *  watchdog quarantines on a stall of this timestamp, not on
          *  total age: a large batched job that is steadily finishing
          *  units is slow, not wedged. */
         Clock::time_point last_progress;
+        /** Units of this entry executing on the pool right now. Zero
+         *  means every remaining unit is still queued: the entry is
+         *  waiting its turn and the watchdog never charges it. */
+        unsigned running_units = 0;
         bool quarantined = false;
-        bool cacheable = true; ///< fault-injected runs are not
     };
 
     /** Scatter/gather context for one experiment computation. */
@@ -208,8 +214,8 @@ class MwServer
     /** Drain the run queue into batches; coalesce unit keys across
      *  the batch and submit one pool task per unique unit. */
     void batcherLoop();
-    /** One compute unit with retry/backoff; runs on the pool.
-     *  Distributes the result to every subscribing job. */
+    /** One compute unit, run once; runs on the pool. Distributes
+     *  the result (or the failure) to every subscribing job. */
     void runUnit(const std::shared_ptr<ComputeUnit> &unit);
     /** Last-point completion: journal the result (under cache_mu_),
      *  then publish, unquarantine and notify (under mu_). Caller
@@ -222,6 +228,7 @@ class MwServer
     void shutdownInternal();
 
     ServerOptions opt_;
+    PlanBuilder build_plan_;
     int listen_fd_ = -1;
     int stop_pipe_[2] = {-1, -1};
     bool started_ = false;
@@ -237,11 +244,6 @@ class MwServer
     mutable std::mutex cache_mu_;
     ResultCache cache_; // guarded by cache_mu_ once threads exist
     std::map<std::string, std::shared_ptr<Inflight>> inflight_;
-    /** Last time ANY unit resolved, pool-wide; guarded by mu_. A
-     *  request queued behind a busy pool refreshes no per-entry
-     *  stamp, yet it is waiting, not wedged — the watchdog only
-     *  quarantines when the pool as a whole has also stalled. */
-    Clock::time_point last_unit_done_;
     std::set<std::string> quarantined_;
     ServerCounters counters_;
     /** Runs awaiting a batch pass; guarded by mu_. */

@@ -3,15 +3,22 @@
  * Tests of the experiment service: the strict JSON parser, the wire
  * framing (including oversized-frame re-sync and stale-socket
  * reclaim), request validation/canonicalization, the crash-safe
- * result cache, and the live server's dedup / deadline / retry /
+ * result cache, and the live server's dedup / deadline / failure /
  * quarantine / overload semantics against an in-process MwServer.
+ * The failure paths run on fake plans whose points block or throw,
+ * substituted through MwServer's plan-builder seam.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -285,7 +292,6 @@ TEST(ServerProtocol, ParsesRunDefaultsAndEchoesId)
     EXPECT_EQ(req.run.nodes, 0u);
     EXPECT_FALSE(req.run.has_sample);
     EXPECT_EQ(req.run.deadline_ms, 0u);
-    EXPECT_FALSE(req.run.has_fault);
 }
 
 TEST(ServerProtocol, RejectsUnknownFieldsByName)
@@ -350,20 +356,6 @@ TEST(ServerProtocol, DeadlineIsCappedAtParseTime)
         EXPECT_EQ(code, ErrorCode::BadParam);
         EXPECT_NE(detail.find("deadline_ms"), std::string::npos);
     }
-}
-
-TEST(ServerBackoff, SaturatesInsteadOfOverflowing)
-{
-    EXPECT_EQ(saturatingBackoffMs(10, 0), 10u);
-    EXPECT_EQ(saturatingBackoffMs(10, 2), 40u);
-    EXPECT_EQ(saturatingBackoffMs(0, 70), 0u);
-    // A shift of >= 64 would be undefined; the helper saturates.
-    EXPECT_EQ(saturatingBackoffMs(10, 64), 60'000u);
-    EXPECT_EQ(saturatingBackoffMs(10, 255), 60'000u);
-    // A huge base is clamped, not shifted into wraparound.
-    EXPECT_EQ(saturatingBackoffMs(~std::uint64_t(0), 1), 60'000u);
-    // The cap itself.
-    EXPECT_EQ(saturatingBackoffMs(1'000, 12), 60'000u);
 }
 
 TEST(ServerProtocol, CanonicalKeyCollapsesEquivalentRequests)
@@ -733,15 +725,20 @@ TEST(ResultCacheTest, DuplicateInsertKeepsLatestAcrossReopen)
 // --------------------------------------------------------------------
 // Live server
 
-/** Start an MwServer on a scratch socket and run it on a thread. */
+/** Start an MwServer on a scratch socket and run it on a thread.
+ *  @p build_plan, when given, replaces the experiment catalog. */
 class LiveServer
 {
   public:
-    explicit LiveServer(ServerOptions opt) : opt_(std::move(opt))
+    explicit LiveServer(ServerOptions opt,
+                        MwServer::PlanBuilder build_plan = nullptr)
+        : opt_(std::move(opt))
     {
         opt_.socket_path = dir_.path() + "/srv.sock";
         opt_.cache_dir = dir_.path() + "/cache";
-        server_ = std::make_unique<MwServer>(opt_);
+        server_ = build_plan
+            ? std::make_unique<MwServer>(opt_, std::move(build_plan))
+            : std::make_unique<MwServer>(opt_);
         std::string why;
         ok_ = server_->start(&why);
         EXPECT_TRUE(ok_) << why;
@@ -805,6 +802,104 @@ errorCodeOf(const std::string &response)
     return e->find("code")->text;
 }
 
+/** A gate fake points wait at until the test opens it. */
+class Gate
+{
+  public:
+    void wait()
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        ++waiting_;
+        cv_.notify_all();
+        cv_.wait(lk, [&] { return open_; });
+    }
+
+    /** Idempotent. */
+    void open()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        open_ = true;
+        cv_.notify_all();
+    }
+
+    /** Block until @p n points have arrived at the gate. */
+    void awaitWaiting(unsigned n)
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [&] { return waiting_ >= n; });
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    unsigned waiting_ = 0; // guarded by mu_
+    bool open_ = false;    // guarded by mu_
+};
+
+/** Opens a Gate on scope exit. Declared after the LiveServer, it
+ *  releases blocked points before the server's shutdown waits for
+ *  them — also when a failed assertion ends the test early. */
+class OpenOnExit
+{
+  public:
+    explicit OpenOnExit(Gate &gate) : gate_(gate) {}
+    ~OpenOnExit() { gate_.open(); }
+
+    OpenOnExit(const OpenOnExit &) = delete;
+    OpenOnExit &operator=(const OpenOnExit &) = delete;
+
+  private:
+    Gate &gate_;
+};
+
+/** A fake plan of @p points points, each running @p body. Unit keys
+ *  carry the request seed, so requests with distinct seeds share no
+ *  unit; the document names the seed. */
+CatalogPlan
+fakePlan(const RunRequest &run, std::size_t points,
+         const std::function<void()> &body)
+{
+    CatalogPlan plan;
+    const std::string seed = std::to_string(run.seed);
+    for (std::size_t i = 0; i < points; ++i) {
+        CatalogPoint p;
+        p.unit_key = "fake|seed=" + seed + "|" + std::to_string(i);
+        p.label = "fake point " + std::to_string(i);
+        p.compute = [body] {
+            body();
+            return std::make_shared<int>(0);
+        };
+        plan.points.push_back(std::move(p));
+    }
+    plan.render = [seed](const std::vector<std::shared_ptr<void>> &) {
+        return "{\"fake\":" + seed + "}\n";
+    };
+    return plan;
+}
+
+/** One-point plans that block at @p gate. */
+MwServer::PlanBuilder
+blockingPlans(Gate &gate)
+{
+    return [&gate](const RunRequest &run) {
+        return fakePlan(run, 1, [&gate] { gate.wait(); });
+    };
+}
+
+/** Poll @p done (no fixed sleeps) for up to ten seconds. */
+bool
+eventually(const std::function<bool()> &done)
+{
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > give_up)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
 TEST(MwServerTest, ComputesCachesAndDedupesExactlyOnce)
 {
     ServerOptions opt;
@@ -863,9 +958,12 @@ TEST(MwServerTest, NamedErrorsForBadInput)
               "bad_request");
     EXPECT_EQ(errorCodeOf(srv.rpc(R"({"experiment":"fig9"})")),
               "unknown_experiment");
-    EXPECT_EQ(errorCodeOf(srv.rpc(
-                  R"({"experiment":"fig7","fault":{"hang_ms":1}})")),
-              "fault_injection_disabled");
+    // Fault injection is not part of the schema.
+    const JsonValue fault = parseOk(
+        srv.rpc(R"({"experiment":"fig7","fault":{}})"));
+    EXPECT_EQ(fault.find("error")->find("code")->text, "bad_request");
+    EXPECT_NE(fault.find("error")->find("detail")->text.find("fault"),
+              std::string::npos);
 
     // Oversized frame: named error, connection stays usable.
     std::string why;
@@ -883,80 +981,84 @@ TEST(MwServerTest, NamedErrorsForBadInput)
     ::close(fd);
 }
 
-TEST(MwServerTest, RetriesTransientFaultsThenSucceeds)
-{
-    ServerOptions opt;
-    opt.jobs = 4;
-    opt.allow_test_faults = true;
-    opt.max_retries = 2;
-    opt.backoff_base_ms = 1;
-    LiveServer srv(opt);
-
-    // Two injected failures, three attempts available: succeeds.
-    const JsonValue v = parseOk(srv.rpc(
-        runRequest("r", R"(,"fault":{"fail_points":2})")));
-    EXPECT_EQ(v.find("status")->text, "ok");
-    const ServerCounters c = srv.server().counters();
-    EXPECT_GE(c.retries, 2u);
-    EXPECT_EQ(c.worker_failures, 0u);
-}
-
 TEST(MwServerTest, PersistentFaultsFailWithWorkerFailed)
 {
     ServerOptions opt;
     opt.jobs = 4;
-    opt.allow_test_faults = true;
-    opt.max_retries = 1;
-    opt.backoff_base_ms = 1;
-    LiveServer srv(opt);
+    LiveServer srv(opt, [](const RunRequest &run) {
+        return fakePlan(run, 3,
+                        [] { throw std::runtime_error("boom"); });
+    });
 
-    // More injected failures than total attempts: the run fails.
-    EXPECT_EQ(errorCodeOf(srv.rpc(runRequest(
-                  "r", R"(,"fault":{"fail_points":1000})"))),
-              "worker_failed");
+    // A throwing point fails the request at once, with the point's
+    // label and reason and no retry hint: a deterministic point
+    // would throw again.
+    const JsonValue v = parseOk(srv.rpc(runRequest("r", R"(,"seed":1)")));
+    const JsonValue *e = v.find("error");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->find("code")->text, "worker_failed");
+    EXPECT_NE(e->find("detail")->text.find("fake point"),
+              std::string::npos);
+    EXPECT_NE(e->find("detail")->text.find(" failed: boom"),
+              std::string::npos)
+        << e->find("detail")->text;
+    EXPECT_EQ(e->find("retry_after_ms"), nullptr);
     EXPECT_GT(srv.server().counters().worker_failures, 0u);
 
-    // Fault-injected runs must never be cached: the same request
-    // (same fault spec) computes again rather than hitting a cache.
-    const std::string again = srv.rpc(
-        runRequest("r2", R"(,"fault":{"fail_points":1000})"));
-    EXPECT_EQ(errorCodeOf(again), "worker_failed");
+    // Nothing was cached: the same request computes (and fails)
+    // again instead of hitting the cache.
+    EXPECT_EQ(errorCodeOf(srv.rpc(runRequest("r2", R"(,"seed":1)"))),
+              "worker_failed");
+    const ServerCounters c = srv.server().counters();
+    EXPECT_EQ(c.cache_hits, 0u);
+    EXPECT_EQ(c.computed, 0u);
+    const JsonValue stats = parseOk(srv.rpc(R"({"cmd":"stats"})"));
+    EXPECT_DOUBLE_EQ(
+        stats.find("result")->find("cache")->find("entries")->number,
+        0.0);
 }
 
 TEST(MwServerTest, DeadlineExpiresButResultIsStillCached)
 {
     ServerOptions opt;
     opt.jobs = 4;
-    opt.allow_test_faults = true;
-    LiveServer srv(opt);
+    Gate gate;
+    LiveServer srv(opt, blockingPlans(gate));
+    OpenOnExit release(gate);
 
-    // Points hang 200 ms each; a 40 ms deadline must miss.
-    const std::string slow = runRequest(
-        "slow", R"(,"deadline_ms":40,"fault":{"hang_ms":200})");
-    EXPECT_EQ(errorCodeOf(srv.rpc(slow)), "deadline_exceeded");
+    // The point blocks until the gate opens; a 40 ms deadline must
+    // miss.
+    EXPECT_EQ(errorCodeOf(srv.rpc(
+                  runRequest("slow", R"(,"seed":1,"deadline_ms":40)"))),
+              "deadline_exceeded");
     EXPECT_EQ(srv.server().counters().deadline_misses, 1u);
 
-    // The computation was not torn down: it completes and (being a
-    // run without cacheable semantics — fault runs are not cached)
-    // at least finishes without wedging the server.
-    const JsonValue pong = parseOk(srv.rpc(R"({"cmd":"ping"})"));
-    EXPECT_EQ(pong.find("status")->text, "ok");
+    // The computation was not torn down: once released it finishes
+    // and is cached, and the next identical request is a cache hit.
+    gate.open();
+    ASSERT_TRUE(eventually(
+        [&] { return srv.server().counters().computed == 1; }));
+    const JsonValue hit =
+        parseOk(srv.rpc(runRequest("again", R"(,"seed":1)")));
+    EXPECT_EQ(hit.find("status")->text, "ok");
+    EXPECT_TRUE(hit.find("cached")->boolean);
+    EXPECT_EQ(srv.server().counters().cache_hits, 1u);
 }
 
 TEST(MwServerTest, WatchdogQuarantinesWedgedComputation)
 {
     ServerOptions opt;
     opt.jobs = 8;
-    opt.allow_test_faults = true;
     opt.wedge_grace_ms = 50;
     opt.watchdog_interval_ms = 5;
-    LiveServer srv(opt);
+    Gate gate;
+    LiveServer srv(opt, blockingPlans(gate));
+    OpenOnExit release(gate);
 
-    // A run whose points hang 400 ms wedges past the 50 ms grace:
-    // the watchdog quarantines it and the request fails fast
-    // instead of hanging forever.
-    const std::string wedged =
-        runRequest("w", R"(,"fault":{"hang_ms":400})");
+    // A run whose point blocks wedges past the 50 ms grace: the
+    // watchdog quarantines it and the request fails fast instead of
+    // hanging forever.
+    const std::string wedged = runRequest("w", R"(,"seed":1)");
     EXPECT_EQ(errorCodeOf(srv.rpc(wedged)), "quarantined");
     EXPECT_GE(srv.server().counters().quarantines, 1u);
 
@@ -964,36 +1066,83 @@ TEST(MwServerTest, WatchdogQuarantinesWedgedComputation)
     EXPECT_EQ(errorCodeOf(srv.rpc(wedged)), "quarantined");
 
     // When the computation finally completes, the key is lifted.
-    for (int i = 0; i < 200; ++i) {
-        if (srv.server().counters().unquarantines >= 1)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    EXPECT_GE(srv.server().counters().unquarantines, 1u);
+    gate.open();
+    EXPECT_TRUE(eventually(
+        [&] { return srv.server().counters().unquarantines >= 1; }));
+}
+
+TEST(MwServerTest, WatchdogChargesTheStalledKeyNotItsVictim)
+{
+    // Two workers, both held by a "hog" run's two blocked points. A
+    // different "victim" key queues behind them: none of its units
+    // runs, so the stall is not its own and it must not be fenced.
+    ServerOptions opt;
+    opt.jobs = 2;
+    opt.wedge_grace_ms = 50;
+    opt.watchdog_interval_ms = 5;
+    Gate gate;
+    LiveServer srv(opt, [&gate](const RunRequest &run) {
+        if (run.seed == 1)
+            return fakePlan(run, 2, [&gate] { gate.wait(); });
+        return fakePlan(run, 1, [] {});
+    });
+    OpenOnExit release(gate);
+
+    std::string hog;
+    std::thread hog_thread(
+        [&] { hog = srv.rpc(runRequest("hog", R"(,"seed":1)")); });
+    gate.awaitWaiting(2);
+
+    // Waiting ten grace periods lets the watchdog scan the victim
+    // many times; its deadline, not a quarantine, must end the wait.
+    EXPECT_EQ(errorCodeOf(srv.rpc(
+                  runRequest("victim", R"(,"seed":2,"deadline_ms":500)"))),
+              "deadline_exceeded");
+    hog_thread.join();
+    EXPECT_EQ(errorCodeOf(hog), "quarantined");
+    EXPECT_EQ(srv.server().counters().quarantines, 1u);
+
+    // Released, both finish: the hog's key is lifted and the victim
+    // is served.
+    gate.open();
+    ASSERT_TRUE(eventually(
+        [&] { return srv.server().counters().computed == 2; }));
+    EXPECT_EQ(srv.server().counters().unquarantines, 1u);
+    const JsonValue victim =
+        parseOk(srv.rpc(runRequest("victim2", R"(,"seed":2)")));
+    EXPECT_EQ(victim.find("status")->text, "ok");
 }
 
 TEST(MwServerTest, AdmissionControlShedsExcessInflight)
 {
     ServerOptions opt;
     opt.jobs = 2;
-    opt.allow_test_faults = true;
     opt.max_inflight = 1;
-    LiveServer srv(opt);
+    Gate gate;
+    LiveServer srv(opt, blockingPlans(gate));
+    OpenOnExit release(gate);
 
-    // Fill the single inflight slot with a hanging run, then ask
-    // for a *different* run: it must be shed with retry_after.
-    std::thread hog([&] {
-        srv.rpc(runRequest("hog", R"(,"fault":{"hang_ms":150})"));
-    });
-    // Give the hog time to occupy the slot.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    const std::string response = srv.rpc(
-        R"({"cmd":"run","id":"shed","experiment":"fig8","refs":2000})");
+    // Fill the single inflight slot with a blocked run, then ask for
+    // a *different* run: it must be shed with retry_after.
+    std::string hog;
+    std::thread hog_thread(
+        [&] { hog = srv.rpc(runRequest("hog", R"(,"seed":1)")); });
+    EXPECT_TRUE(eventually([&] {
+        const JsonValue st = parseOk(srv.rpc(R"({"cmd":"stats"})"));
+        return st.find("result")->find("inflight")->number == 1.0;
+    }));
+    const std::string response =
+        srv.rpc(runRequest("shed", R"(,"seed":2)"));
+    gate.open();
+    hog_thread.join();
+    EXPECT_EQ(parseOk(hog).find("status")->text, "ok") << hog;
+
     EXPECT_EQ(errorCodeOf(response), "overloaded");
     const JsonValue v = parseOk(response);
-    EXPECT_NE(v.find("error")->find("retry_after_ms"), nullptr);
+    const JsonValue *retry = v.find("error")->find("retry_after_ms");
+    ASSERT_NE(retry, nullptr);
+    EXPECT_DOUBLE_EQ(retry->number, 80.0);
     EXPECT_GE(srv.server().counters().shed, 1u);
-    hog.join();
 }
 
 TEST(MwServerTest, BatchingComputesSharedUnitsOnce)

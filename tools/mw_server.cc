@@ -4,10 +4,8 @@
  *
  *   mw-server --socket PATH --cache-dir DIR [--jobs N]
  *             [--cache-cap-bytes N] [--max-connections N]
- *             [--max-inflight N] [--max-retries N]
- *             [--backoff-base-ms N] [--wedge-grace-ms N]
+ *             [--max-inflight N] [--wedge-grace-ms N]
  *             [--watchdog-interval-ms N] [--batch-window-ms N]
- *             [--allow-test-faults]
  *
  * Listens on a Unix-domain socket for framed JSON requests (see
  * src/server/protocol.hh for the schema), computes the experiment
@@ -16,10 +14,6 @@
  * and memoizes results in a crash-safe on-disk cache under
  * --cache-dir. SIGINT/SIGTERM (or a "shutdown" request) drain and
  * exit cleanly; a SIGKILL'd server replays its journal on restart.
- *
- * --allow-test-faults enables the "fault" request field used by the
- * torture bench to inject worker failures and hangs; never pass it
- * in real use.
  */
 
 #include <cstdio>
@@ -54,11 +48,9 @@ usage(const char *why)
         stderr,
         "usage: mw-server --socket PATH --cache-dir DIR [--jobs N]\n"
         "                 [--cache-cap-bytes N] [--max-connections N]\n"
-        "                 [--max-inflight N] [--max-retries N]\n"
-        "                 [--backoff-base-ms N] [--wedge-grace-ms N]\n"
+        "                 [--max-inflight N] [--wedge-grace-ms N]\n"
         "                 [--watchdog-interval-ms N]\n"
-        "                 [--batch-window-ms N]\n"
-        "                 [--allow-test-faults]\n");
+        "                 [--batch-window-ms N]\n");
     std::exit(2);
 }
 
@@ -107,12 +99,6 @@ main(int argc, char **argv)
                 numberArg("--max-connections", value());
         else if (arg == "--max-inflight")
             opt.max_inflight = numberArg("--max-inflight", value());
-        else if (arg == "--max-retries")
-            opt.max_retries = static_cast<unsigned>(
-                numberArg("--max-retries", value()));
-        else if (arg == "--backoff-base-ms")
-            opt.backoff_base_ms =
-                numberArg("--backoff-base-ms", value());
         else if (arg == "--wedge-grace-ms")
             opt.wedge_grace_ms =
                 numberArg("--wedge-grace-ms", value());
@@ -122,8 +108,6 @@ main(int argc, char **argv)
         else if (arg == "--batch-window-ms")
             opt.batch_window_ms =
                 numberArg("--batch-window-ms", value());
-        else if (arg == "--allow-test-faults")
-            opt.allow_test_faults = true;
         else
             usage(("unknown flag '" + arg + "'").c_str());
     }
