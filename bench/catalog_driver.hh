@@ -9,17 +9,20 @@
  * flags into a server::RunRequest, checks it with the protocol's
  * validateRun(), sweeps the plan's points across --jobs workers and,
  * for --format json, prints the plan's document. A bench main adds
- * only its banner and its text table over the results.
+ * only its banner and its text table over the results; the five
+ * SPLASH mains are one runSplashBench() call each.
  *
- * Flags beyond the common set, registered per experiment kind:
+ * Flags beyond the common set, as each experiment's catalog entry
+ * lists them:
  *   --format text|json   all ten
  *   --sample PLAN        miss-rate and SPLASH figures (sampling/plan.hh)
  *   --nodes N            SPLASH figures: one processor count, not the
  *                        full {1,2,4,8,16} axis
  *   --resume PATH        miss-rate figures: crash-safe sweep journal,
- *                        keyed by server::runKeyHash() -- a rerun with
- *                        the same flags and build replays committed
- *                        points to byte-identical output
+ *                        keyed by a hash of server::canonicalRunKey()
+ *                        -- a rerun with the same flags and build
+ *                        replays committed points to byte-identical
+ *                        output
  *   --ckpt-dir DIR       sampled miss-rate figures: per-unit
  *                        warm-state checkpoints (stratified plans)
  * A flag the experiment does not take is rejected with exit 2, and
@@ -32,16 +35,18 @@
 
 #include <cstdio>
 #include <initializer_list>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "checkpoint/codec.hh"
 #include "harness/parallel_sweep.hh"
 #include "harness/sweep_resume.hh"
 #include "resume_util.hh"
 #include "server/catalog.hh"
-#include "server/protocol.hh"
+#include "workloads/splash_figures.hh"
 
 namespace memwall::benchutil {
 
@@ -69,21 +74,6 @@ struct CatalogRun
     }
 };
 
-/** The extra flags experiment @p exp takes (see the file comment). */
-inline std::initializer_list<const char *>
-catalogFlags(server::Experiment exp)
-{
-    static constexpr std::initializer_list<const char *> miss_rate = {
-        "--format", "--sample", "--ckpt-dir", "--resume"};
-    static constexpr std::initializer_list<const char *> splash = {
-        "--format", "--sample", "--nodes"};
-    static constexpr std::initializer_list<const char *> table = {
-        "--format"};
-    if (server::experimentIsMissRate(exp))
-        return miss_rate;
-    return server::experimentIsSplash(exp) ? splash : table;
-}
-
 /**
  * Run catalog experiment @p exp as a one-shot bench: parse and check
  * the flags (usage error, exit 2, on any the request cannot honour),
@@ -94,7 +84,8 @@ catalogFlags(server::Experiment exp)
 inline CatalogRun
 runCatalog(server::Experiment exp, int argc, char **argv)
 {
-    const std::initializer_list<const char *> flags = catalogFlags(exp);
+    const std::initializer_list<const char *> flags =
+        server::catalogEntry(exp).bench_flags;
     const char *prog = argv[0];
     CatalogRun r;
     r.opt = parse(argc, argv, flags);
@@ -131,8 +122,9 @@ runCatalog(server::Experiment exp, int argc, char **argv)
     ParallelSweep<std::shared_ptr<void>> sweep(r.opt.jobs, r.opt.seed);
     ckpt::SweepJournal journal;
     if (!resume_path.empty()) {
-        openJournal(journal, resume_path,
-                    server::runKeyHash(r.request));
+        openJournal(
+            journal, resume_path,
+            ckpt::fnv1a64(server::canonicalRunKey(r.request, plan)));
         attachSweepJournal(
             sweep, journal,
             [&plan](ckpt::Encoder &e, const std::shared_ptr<void> &p) {
@@ -156,6 +148,31 @@ runCatalog(server::Experiment exp, int argc, char **argv)
     if (store)
         printStoreCounters(*store);
     return r;
+}
+
+/**
+ * The whole main of a SPLASH figure bench (fig13_lu .. fig17_pthor):
+ * run the catalog entry, then, for text output, print the banner
+ * "<title> - SPLASH <kernel> (<dataset>)" and the figure's text
+ * report. Returns the exit status: 1 if the architectures disagree
+ * on the kernel's checksum.
+ */
+inline int
+runSplashBench(server::Experiment exp, int argc, char **argv)
+{
+    const SplashFigure fig = *server::catalogEntry(exp).splash;
+    const CatalogRun run = runCatalog(exp, argc, argv);
+    const auto points = run.results<SplashResult>();
+    if (!run.opt.json()) {
+        banner(std::string(splashFigureTitle(fig)) + " - SPLASH " +
+                   splashFigureKernel(fig) + " (" +
+                   splashFigureDataset(fig) + ")",
+               run.opt);
+        printSplashFigureText(std::cout, fig,
+                              resolveSplashScale(fig, run.opt.quick),
+                              run.request.nodes, run.plan(), points);
+    }
+    return splashChecksumsMatch(points) ? 0 : 1;
 }
 
 } // namespace memwall::benchutil

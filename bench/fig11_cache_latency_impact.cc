@@ -13,6 +13,7 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "workloads/spec_eval.hh"
+#include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
@@ -24,14 +25,9 @@ main(int argc, char **argv)
                       "(conventional CPU)",
                       opt);
 
-    SpecEvalParams params;
-    params.seed = opt.seed;
+    SpecEvalParams params =
+        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
     params.banks = 2;  // dual-banked conventional main memory
-    if (opt.quick) {
-        params.missrate.measured_refs = 400'000;
-        params.missrate.warmup_refs = 100'000;
-        params.gspn_instructions = 30'000;
-    }
 
     const double l2_lats[] = {4.0, 6.0, 12.0};
     const double mem_ns[] = {50, 100, 150, 200, 250, 300, 400};

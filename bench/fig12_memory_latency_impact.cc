@@ -11,6 +11,7 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "workloads/spec_eval.hh"
+#include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
@@ -21,13 +22,8 @@ main(int argc, char **argv)
     benchutil::banner("Figure 12 - DRAM latency impact (integrated)",
                       opt);
 
-    SpecEvalParams params;
-    params.seed = opt.seed;
-    if (opt.quick) {
-        params.missrate.measured_refs = 400'000;
-        params.missrate.warmup_refs = 100'000;
-        params.gspn_instructions = 30'000;
-    }
+    const SpecEvalParams params =
+        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
 
     const double access_ns[] = {10, 20, 30, 40, 50, 60, 70};
     const ClockParams clock;

@@ -13,6 +13,7 @@
 #include "common/table.hh"
 #include "harness/parallel_sweep.hh"
 #include "workloads/spec_eval.hh"
+#include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
@@ -22,13 +23,8 @@ main(int argc, char **argv)
     auto opt = benchutil::parse(argc, argv);
     benchutil::banner("Section 5.6 - memory bank sweep", opt);
 
-    SpecEvalParams params;
-    params.seed = opt.seed;
-    if (opt.quick) {
-        params.missrate.measured_refs = 400'000;
-        params.missrate.warmup_refs = 100'000;
-        params.gspn_instructions = 30'000;
-    }
+    const SpecEvalParams params =
+        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
 
     TextTable table("Integrated device: CPI and bank utilisation vs "
                     "bank count");

@@ -2,10 +2,12 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 #include "checkpoint/codec.hh"
 #include "common/logging.hh"
 #include "workloads/missrate.hh"
+#include "workloads/missrate_figures.hh"
 #include "workloads/spec_suite.hh"
 #include "workloads/spec_tables.hh"
 #include "workloads/splash_figures.hh"
@@ -42,14 +44,12 @@ setCodec(CatalogPlan &plan)
     };
 }
 
+template <MissRateFigure fig>
 CatalogPlan
 missRatePlan(const RunRequest &run, ckpt::CheckpointStore *store)
 {
     const MissRateParams params =
         resolveMissRateParams(run.quick, run.refs);
-    const MissRateFigure fig = run.experiment == Experiment::Fig7
-        ? MissRateFigure::ICache
-        : MissRateFigure::DCache;
     const bool sampled = run.has_sample;
     const SamplingPlan plan = run.sample;
 
@@ -86,25 +86,23 @@ missRatePlan(const RunRequest &run, ckpt::CheckpointStore *store)
         out.points.push_back(std::move(p));
     }
     if (sampled) {
-        out.render =
-            [fig](const std::vector<std::shared_ptr<void>> &r) {
-                return missRateFigureSampledJson(
-                    fig, pointResults<SampledWorkloadMissRates>(r));
-            };
+        out.render = [](const std::vector<std::shared_ptr<void>> &r) {
+            return missRateFigureSampledJson(
+                fig, pointResults<SampledWorkloadMissRates>(r));
+        };
         setCodec<SampledWorkloadMissRates>(out);
     } else {
-        out.render =
-            [fig](const std::vector<std::shared_ptr<void>> &r) {
-                return missRateFigureJson(
-                    fig, pointResults<WorkloadMissRates>(r));
-            };
+        out.render = [](const std::vector<std::shared_ptr<void>> &r) {
+            return missRateFigureJson(
+                fig, pointResults<WorkloadMissRates>(r));
+        };
         setCodec<WorkloadMissRates>(out);
     }
     return out;
 }
 
 CatalogPlan
-table1Plan(const RunRequest &run)
+table1Plan(const RunRequest &run, ckpt::CheckpointStore *)
 {
     const std::uint64_t refs =
         resolveTable1Refs(run.quick, run.refs);
@@ -129,10 +127,10 @@ table1Plan(const RunRequest &run)
     return out;
 }
 
+template <bool vc>
 CatalogPlan
-specTablePlan(const RunRequest &run)
+specTablePlan(const RunRequest &run, ckpt::CheckpointStore *)
 {
-    const bool vc = run.experiment == Experiment::Table4;
     const SpecEvalParams base =
         resolveSpecEvalParams(run.quick, run.refs, run.seed);
     CatalogPlan out;
@@ -152,22 +150,22 @@ specTablePlan(const RunRequest &run)
             base.missrate.measured_refs, base.missrate.warmup_refs,
             base.gspn_instructions, p.seed);
         point.label = "workload '" + w->name + "'";
-        point.compute = [w, vc, p] {
+        point.compute = [w, p] {
             return std::make_shared<SpecEstimate>(
                 runSpecTablePoint(*w, vc, p));
         };
         out.points.push_back(std::move(point));
     }
-    out.render = [vc](const std::vector<std::shared_ptr<void>> &r) {
+    out.render = [](const std::vector<std::shared_ptr<void>> &r) {
         return specTableJson(vc, pointResults<SpecEstimate>(r));
     };
     return out;
 }
 
 CatalogPlan
-splashPlan(const RunRequest &run)
+splashPlan(const RunRequest &run, ckpt::CheckpointStore *)
 {
-    const SplashFigure fig = splashFigureOf(run.experiment);
+    const SplashFigure fig = *catalogEntry(run.experiment).splash;
     const double scale = resolveSplashScale(fig, run.quick);
     const std::uint64_t nodes = run.nodes;
     const bool sampled = run.has_sample;
@@ -218,35 +216,143 @@ splashPlan(const RunRequest &run)
     return out;
 }
 
+constexpr std::initializer_list<const char *> miss_rate_flags = {
+    "--format", "--sample", "--ckpt-dir", "--resume"};
+constexpr std::initializer_list<const char *> table_flags = {
+    "--format"};
+constexpr std::initializer_list<const char *> splash_flags = {
+    "--format", "--sample", "--nodes"};
+
+/** The catalog, in Experiment order. Columns: experiment, name,
+ *  refs, sample, nodes, bench flags, plan builder, SPLASH figure. */
+constexpr CatalogEntry catalog_table[] = {
+    {Experiment::Fig7, "fig7", true, true, false, miss_rate_flags,
+     missRatePlan<MissRateFigure::ICache>, std::nullopt},
+    {Experiment::Fig8, "fig8", true, true, false, miss_rate_flags,
+     missRatePlan<MissRateFigure::DCache>, std::nullopt},
+    {Experiment::Table1, "table1", true, false, false, table_flags,
+     table1Plan, std::nullopt},
+    {Experiment::Table3, "table3", true, false, false, table_flags,
+     specTablePlan<false>, std::nullopt},
+    {Experiment::Table4, "table4", true, false, false, table_flags,
+     specTablePlan<true>, std::nullopt},
+    {Experiment::Fig13Lu, "fig13", false, true, true, splash_flags,
+     splashPlan, SplashFigure::Fig13Lu},
+    {Experiment::Fig14Mp3d, "fig14", false, true, true, splash_flags,
+     splashPlan, SplashFigure::Fig14Mp3d},
+    {Experiment::Fig15Ocean, "fig15", false, true, true, splash_flags,
+     splashPlan, SplashFigure::Fig15Ocean},
+    {Experiment::Fig16Water, "fig16", false, true, true, splash_flags,
+     splashPlan, SplashFigure::Fig16Water},
+    {Experiment::Fig17Pthor, "fig17", false, true, true, splash_flags,
+     splashPlan, SplashFigure::Fig17Pthor},
+};
+
 } // namespace
+
+std::span<const CatalogEntry>
+catalog()
+{
+    return catalog_table;
+}
+
+const CatalogEntry &
+catalogEntry(Experiment exp)
+{
+    const auto index = static_cast<std::size_t>(exp);
+    MW_ASSERT(index < std::size(catalog_table) &&
+                  catalog_table[index].experiment == exp,
+              "experiment missing from the catalog");
+    return catalog_table[index];
+}
+
+std::string
+catalogNames()
+{
+    std::string names;
+    for (const CatalogEntry &e : catalog_table)
+        names += (names.empty() ? "" : " ") + std::string(e.name);
+    return names;
+}
+
+const char *
+experimentName(Experiment exp)
+{
+    return catalogEntry(exp).name;
+}
+
+bool
+parseExperimentName(const std::string &name, Experiment &out)
+{
+    for (const CatalogEntry &e : catalog_table) {
+        if (name == e.name) {
+            out = e.experiment;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+validateRun(const RunRequest &run, ErrorCode &code,
+            std::string &detail)
+{
+    const CatalogEntry &entry = catalogEntry(run.experiment);
+    const std::string name = entry.name;
+    if (run.has_sample && !entry.takes_sample) {
+        code = ErrorCode::BadParam;
+        detail = "\"sample\" does not apply to experiment \"" + name +
+                 "\" (tables are deterministic full runs)";
+        return false;
+    }
+    if (run.nodes != 0 && !entry.takes_nodes) {
+        code = ErrorCode::BadParam;
+        detail = "\"nodes\" only applies to the SPLASH figures, not "
+                 "\"" + name + "\"";
+        return false;
+    }
+    if (run.nodes > splash_max_nodes) {
+        code = ErrorCode::BadParam;
+        detail = "\"nodes\" of " + std::to_string(run.nodes) +
+                 " exceeds the maximum of " +
+                 std::to_string(splash_max_nodes);
+        return false;
+    }
+    if (run.refs != 0 && !entry.takes_refs) {
+        code = ErrorCode::BadParam;
+        detail = "\"refs\" does not apply to experiment \"" + name +
+                 "\" (SPLASH problem size is set by \"quick\")";
+        return false;
+    }
+    return true;
+}
 
 CatalogPlan
 buildCatalogPlan(const RunRequest &run,
                  const std::string &fault_scope,
                  ckpt::CheckpointStore *store)
 {
-    CatalogPlan plan;
-    switch (run.experiment) {
-    case Experiment::Fig7:
-    case Experiment::Fig8:
-        plan = missRatePlan(run, store);
-        break;
-    case Experiment::Table1:
-        plan = table1Plan(run);
-        break;
-    case Experiment::Table3:
-    case Experiment::Table4:
-        plan = specTablePlan(run);
-        break;
-    default:
-        plan = splashPlan(run);
-        break;
-    }
+    CatalogPlan plan = catalogEntry(run.experiment).build(run, store);
     if (!fault_scope.empty())
         // A scoped plan shares no unit with any other plan.
         for (CatalogPoint &p : plan.points)
             p.unit_key += "|scope=" + fault_scope;
     return plan;
+}
+
+std::string
+canonicalRunKey(const RunRequest &run, const CatalogPlan &plan)
+{
+    // One line of header, then one line per unit key: unit keys never
+    // hold a newline, so distinct plans never spell the same key.
+    std::string key = std::string(experimentName(run.experiment)) +
+                      "|seed=" + std::to_string(run.seed) +
+                      "|build=" + gitDescribe();
+    for (const CatalogPoint &p : plan.points) {
+        key += '\n';
+        key += p.unit_key;
+    }
+    return key;
 }
 
 } // namespace server

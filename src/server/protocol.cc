@@ -1,11 +1,7 @@
 #include "server/protocol.hh"
 
-#include <cstdio>
-
-#include "checkpoint/codec.hh"
+#include "server/catalog.hh"
 #include "server/json.hh"
-#include "workloads/spec_tables.hh"
-#include "workloads/splash_figures.hh"
 
 #ifndef MEMWALL_GIT_DESCRIBE
 #define MEMWALL_GIT_DESCRIBE ""
@@ -39,89 +35,6 @@ errorCodeName(ErrorCode code)
 
 namespace {
 
-struct ExperimentEntry
-{
-    Experiment exp;
-    const char *name;
-};
-
-constexpr ExperimentEntry experiment_table[] = {
-    {Experiment::Fig7, "fig7"},
-    {Experiment::Fig8, "fig8"},
-    {Experiment::Table1, "table1"},
-    {Experiment::Table3, "table3"},
-    {Experiment::Table4, "table4"},
-    {Experiment::Fig13Lu, "fig13"},
-    {Experiment::Fig14Mp3d, "fig14"},
-    {Experiment::Fig15Ocean, "fig15"},
-    {Experiment::Fig16Water, "fig16"},
-    {Experiment::Fig17Pthor, "fig17"},
-};
-
-} // namespace
-
-const char *
-experimentName(Experiment exp)
-{
-    for (const auto &e : experiment_table)
-        if (e.exp == exp)
-            return e.name;
-    return "?";
-}
-
-bool
-parseExperimentName(const std::string &name, Experiment &out)
-{
-    for (const auto &e : experiment_table) {
-        if (name == e.name) {
-            out = e.exp;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-experimentIsSplash(Experiment exp)
-{
-    switch (exp) {
-    case Experiment::Fig13Lu:
-    case Experiment::Fig14Mp3d:
-    case Experiment::Fig15Ocean:
-    case Experiment::Fig16Water:
-    case Experiment::Fig17Pthor:
-        return true;
-    default:
-        return false;
-    }
-}
-
-bool
-experimentIsMissRate(Experiment exp)
-{
-    return exp == Experiment::Fig7 || exp == Experiment::Fig8;
-}
-
-bool
-experimentAcceptsSample(Experiment exp)
-{
-    return experimentIsMissRate(exp) || experimentIsSplash(exp);
-}
-
-SplashFigure
-splashFigureOf(Experiment exp)
-{
-    switch (exp) {
-    case Experiment::Fig13Lu: return SplashFigure::Fig13Lu;
-    case Experiment::Fig14Mp3d: return SplashFigure::Fig14Mp3d;
-    case Experiment::Fig15Ocean: return SplashFigure::Fig15Ocean;
-    case Experiment::Fig16Water: return SplashFigure::Fig16Water;
-    default: return SplashFigure::Fig17Pthor;
-    }
-}
-
-namespace {
-
 /** Schema-check one field as an exact uint64, with a named error. */
 bool
 takeU64(const JsonValue &v, const char *field, std::uint64_t &out,
@@ -137,39 +50,6 @@ takeU64(const JsonValue &v, const char *field, std::uint64_t &out,
 }
 
 } // namespace
-
-bool
-validateRun(const RunRequest &run, ErrorCode &code,
-            std::string &detail)
-{
-    const std::string name = experimentName(run.experiment);
-    if (run.has_sample && !experimentAcceptsSample(run.experiment)) {
-        code = ErrorCode::BadParam;
-        detail = "\"sample\" does not apply to experiment \"" + name +
-                 "\" (tables are deterministic full runs)";
-        return false;
-    }
-    if (run.nodes != 0 && !experimentIsSplash(run.experiment)) {
-        code = ErrorCode::BadParam;
-        detail = "\"nodes\" only applies to the SPLASH figures, not "
-                 "\"" + name + "\"";
-        return false;
-    }
-    if (run.nodes > splash_max_nodes) {
-        code = ErrorCode::BadParam;
-        detail = "\"nodes\" of " + std::to_string(run.nodes) +
-                 " exceeds the maximum of " +
-                 std::to_string(splash_max_nodes);
-        return false;
-    }
-    if (run.refs != 0 && experimentIsSplash(run.experiment)) {
-        code = ErrorCode::BadParam;
-        detail = "\"refs\" does not apply to experiment \"" + name +
-                 "\" (SPLASH problem size is set by \"quick\")";
-        return false;
-    }
-    return true;
-}
 
 bool
 parseRequest(const std::string &payload, Request &out,
@@ -232,8 +112,7 @@ parseRequest(const std::string &payload, Request &out,
             if (!parseExperimentName(v.text, out.run.experiment)) {
                 code = ErrorCode::UnknownExperiment;
                 detail = "unknown experiment \"" + v.text +
-                         "\" (catalog: fig7 fig8 table1 table3 "
-                         "table4 fig13 fig14 fig15 fig16 fig17)";
+                         "\" (catalog: " + catalogNames() + ")";
                 return false;
             }
             have_experiment = true;
@@ -297,95 +176,6 @@ parseRequest(const std::string &payload, Request &out,
             return false;
     }
     return true;
-}
-
-std::string
-canonicalRunKey(const RunRequest &run)
-{
-    // Canonicalize through the same resolvers the bench binaries
-    // use: {"quick":true} and the explicit refs it implies request
-    // identical work and must collapse to one cache entry. The seed
-    // and build id always close the key; a sampled request also
-    // carries the plan hash, which covers every plan parameter.
-    char buf[320];
-    char sample[40] = "";
-    if (run.has_sample)
-        std::snprintf(sample, sizeof(sample), "|sample=%016llx",
-                      static_cast<unsigned long long>(
-                          samplingPlanHash(run.sample)));
-
-    switch (run.experiment) {
-    case Experiment::Fig7:
-    case Experiment::Fig8: {
-        const MissRateParams params =
-            resolveMissRateParams(run.quick, run.refs);
-        const MissRateFigure fig = run.experiment == Experiment::Fig7
-            ? MissRateFigure::ICache
-            : MissRateFigure::DCache;
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s|measured=%llu|warmup=%llu|seed=%llu%s|build=%s",
-            missRateFigureName(fig),
-            static_cast<unsigned long long>(params.measured_refs),
-            static_cast<unsigned long long>(params.warmup_refs),
-            static_cast<unsigned long long>(run.seed), sample,
-            gitDescribe());
-        break;
-    }
-    case Experiment::Table1:
-        std::snprintf(
-            buf, sizeof(buf),
-            "table1_ss5_vs_ss10|refs=%llu|seed=%llu|build=%s",
-            static_cast<unsigned long long>(
-                resolveTable1Refs(run.quick, run.refs)),
-            static_cast<unsigned long long>(run.seed),
-            gitDescribe());
-        break;
-    case Experiment::Table3:
-    case Experiment::Table4: {
-        const bool vc = run.experiment == Experiment::Table4;
-        const SpecEvalParams params =
-            resolveSpecEvalParams(run.quick, run.refs, run.seed);
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s|measured=%llu|warmup=%llu|gspn=%llu|seed=%llu"
-            "|build=%s",
-            specTableName(vc),
-            static_cast<unsigned long long>(
-                params.missrate.measured_refs),
-            static_cast<unsigned long long>(
-                params.missrate.warmup_refs),
-            static_cast<unsigned long long>(
-                params.gspn_instructions),
-            static_cast<unsigned long long>(run.seed),
-            gitDescribe());
-        break;
-    }
-    default: {
-        const SplashFigure fig = splashFigureOf(run.experiment);
-        char cpus[24];
-        if (run.nodes == 0)
-            std::snprintf(cpus, sizeof(cpus), "all");
-        else
-            std::snprintf(cpus, sizeof(cpus), "%llu",
-                          static_cast<unsigned long long>(run.nodes));
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s|scale=%.9g|cpus=%s|seed=%llu%s|build=%s",
-            splashFigureName(fig),
-            resolveSplashScale(fig, run.quick), cpus,
-            static_cast<unsigned long long>(run.seed), sample,
-            gitDescribe());
-        break;
-    }
-    }
-    return buf;
-}
-
-std::uint64_t
-runKeyHash(const RunRequest &run)
-{
-    return ckpt::fnv1a64(canonicalRunKey(run));
 }
 
 std::string

@@ -7,9 +7,7 @@
  *     {
  *       "cmd": "run" | "stats" | "ping" | "shutdown",   (default "run")
  *       "id": "<opaque string, echoed back>",            (optional)
- *       "experiment": "fig7" | "fig8" | "table1" | "table3" |
- *                     "table4" | "fig13" | "fig14" | "fig15" |
- *                     "fig16" | "fig17",                 (run only)
+ *       "experiment": "<catalog name>",   (run only; see catalog.hh)
  *       "quick": true|false,                             (default false)
  *       "refs": <uint>,                    (default 0 = auto; not splash)
  *       "seed": <uint>,                                  (default 42)
@@ -21,7 +19,10 @@
  * Unknown fields are rejected by name — a typo'd "qick" must not
  * silently run the full-size experiment — and fields that do not
  * apply to the requested experiment (refs on a SPLASH figure, sample
- * on a table) are rejected rather than ignored.
+ * on a table) are rejected rather than ignored. Which fields apply is
+ * a lookup into the experiment's catalog entry (validateRun() in
+ * catalog.hh); so is the cache key (canonicalRunKey()), which is
+ * derived from the request's plan rather than from this schema.
  *
  * Responses (one frame each):
  *
@@ -43,8 +44,6 @@
 #include <string>
 
 #include "sampling/plan.hh"
-#include "workloads/missrate_figures.hh"
-#include "workloads/splash_figures.hh"
 
 namespace memwall {
 namespace server {
@@ -68,12 +67,9 @@ enum class ErrorCode {
 const char *errorCodeName(ErrorCode code);
 
 /**
- * The experiment catalog: every table and figure the one-shot bench
- * binaries regenerate is addressable by the wire names below. Each
- * entry resolves to the same parameter defaults, the same point
- * schedule (including per-point seeding) and the same JSON renderer
- * as its binary, so served bytes are byte-identical to
- * `<binary> --format json`.
+ * The experiments a run request can name: every table and figure the
+ * catalog benches regenerate. Wire names, applicable fields and plans
+ * live in the catalog table (catalog.hh), one entry each.
  */
 enum class Experiment {
     Fig7,       ///< fig7_icache_miss
@@ -87,24 +83,6 @@ enum class Experiment {
     Fig16Water, ///< fig16_water
     Fig17Pthor, ///< fig17_pthor
 };
-
-/** Wire name of @p exp ("fig7", "table3", "fig15", ...). */
-const char *experimentName(Experiment exp);
-
-/** Reverse of experimentName(); false if @p name is not catalogued. */
-bool parseExperimentName(const std::string &name, Experiment &out);
-
-/** True for the five SPLASH figures (fig13..fig17). */
-bool experimentIsSplash(Experiment exp);
-
-/** True for the miss-rate figures (fig7/fig8). */
-bool experimentIsMissRate(Experiment exp);
-
-/** True when "sample" applies to @p exp (miss-rate + SPLASH). */
-bool experimentAcceptsSample(Experiment exp);
-
-/** The SPLASH figure behind a splash experiment (fig13..fig17). */
-SplashFigure splashFigureOf(Experiment exp);
 
 /**
  * Upper bound on "deadline_ms": one day. Larger values are rejected
@@ -144,31 +122,6 @@ struct Request
  */
 bool parseRequest(const std::string &payload, Request &out,
                   ErrorCode &code, std::string &detail);
-
-/**
- * Check that every field of @p run applies to its experiment: a field
- * the catalog entry would silently ignore (refs on a SPLASH figure,
- * sample on a table, nodes outside the SPLASH figures or above their
- * axis) fails with bad_param and a detail naming the field, so a
- * caller never believes it configured something it did not.
- * parseRequest() applies it to every run request; the one-shot
- * catalog benches apply it to their flags.
- */
-bool validateRun(const RunRequest &run, ErrorCode &code,
-                 std::string &detail);
-
-/**
- * Canonical description of a run: the experiment, its resolved
- * parameters (explicit refs and quick-mode defaults collapse to the
- * same string), the seed, the sampling-plan hash when sampled, and
- * the binary's build id. Hashing this is the cache key; baking the
- * build id in means a rebuilt server never serves results computed
- * by different code.
- */
-std::string canonicalRunKey(const RunRequest &run);
-
-/** FNV-1a of canonicalRunKey — the cache/dedup key. */
-std::uint64_t runKeyHash(const RunRequest &run);
 
 /**
  * Collapse a raw `git describe --always --dirty` string into a build

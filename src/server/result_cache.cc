@@ -9,7 +9,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "checkpoint/checkpoint.hh"
 #include "checkpoint/codec.hh"
 #include "common/logging.hh"
 #include "server/protocol.hh"
@@ -19,20 +18,10 @@ namespace server {
 
 namespace {
 
-constexpr std::uint32_t result_section = ckpt::fourcc("RSLT");
 /** Journal framing overhead per record (index + len + crc). */
 constexpr std::uint64_t record_overhead = 8 + 8 + 4;
 /** Results are figure JSON documents, well under this. */
 constexpr std::size_t max_result_bytes = 8u << 20;
-
-std::string
-hexKey(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
 
 std::vector<std::uint8_t>
 encodePayload(const std::string &canonical, const std::string &result)
@@ -99,9 +88,6 @@ ResultCache::open(const std::string &dir, std::uint64_t cap_bytes,
     recovered_ = entries_.size();
     torn_bytes_ = journal_.tornBytes();
     discarded_foreign_ = journal_.discardedForeign();
-
-    mirror_ = std::make_unique<ckpt::CheckpointStore>(dir, run_hash_);
-    mirror_->setCapBytes(cap_bytes);
     return true;
 }
 
@@ -109,7 +95,6 @@ void
 ResultCache::close()
 {
     journal_.close();
-    mirror_.reset();
     entries_.clear();
     recovered_ = 0;
     torn_bytes_ = 0;
@@ -138,22 +123,6 @@ ResultCache::appendRecord(const std::string &canonical,
     return true;
 }
 
-void
-ResultCache::mirrorEntry(const std::string &canonical,
-                         const std::string &result)
-{
-    ckpt::CheckpointWriter w(run_hash_);
-    ckpt::Encoder &e = w.section(result_section);
-    e.str(canonical);
-    e.str(result);
-    std::string why;
-    // Mirror failures are counted by the store; the journal already
-    // holds the durable copy, so a bad mirror write costs nothing
-    // but inspectability.
-    if (!mirror_->save(hexKey(ckpt::fnv1a64(canonical)), w, &why))
-        MW_WARN("result cache: mirror write failed: ", why);
-}
-
 bool
 ResultCache::insert(const std::string &canonical,
                     const std::string &result, std::string *why)
@@ -161,8 +130,6 @@ ResultCache::insert(const std::string &canonical,
     const bool appended = appendRecord(canonical, result, why);
     entries_[canonical] = Entry{result, next_seq_};
     ++next_seq_;
-    if (appended)
-        mirrorEntry(canonical, result);
     if (appended && cap_bytes_ > 0 && journal_bytes_ > cap_bytes_) {
         std::string compact_why;
         if (!compact(&compact_why))

@@ -2,23 +2,14 @@
  * @file
  * Crash-safe memo cache for experiment results.
  *
- * Two representations of the same data, each doing the job it is
- * shaped for:
- *
- *  - The authoritative record is an append-only ckpt::SweepJournal
- *    ("results.mwsj"): one fsync'd, CRC-checked record per computed
- *    result, keyed by the FNV-1a hash of the canonical run key. A
- *    SIGKILL'd server replays the journal at startup and resumes
- *    with its memo table intact; a torn tail is truncated exactly as
- *    for a resumable sweep. The journal's run hash covers the git
- *    describe, so a rebuilt binary discards results computed by
- *    different code instead of serving them.
- *
- *  - Each entry is mirrored as a content-addressed MWCP container
- *    ("<key-hash-hex>.mwcp") via ckpt::CheckpointStore: per-entry
- *    CRCs, atomic-rename writes, and a byte cap with oldest-first
- *    eviction. The mirror is for inspection and bounded disk use;
- *    losing a mirror entry never loses a result.
+ * The record is an append-only ckpt::SweepJournal ("results.mwsj"):
+ * one fsync'd, CRC-checked record per computed result, holding the
+ * canonical run key and the result bytes. A SIGKILL'd server replays
+ * the journal at startup and resumes with its memo table intact; a
+ * torn tail is truncated exactly as for a resumable sweep. The
+ * journal's run hash covers the git describe, so a rebuilt binary
+ * discards results computed by different code instead of serving
+ * them. `mwckpt journal` lists its records.
  *
  * The cache compacts its journal when the file outgrows the byte
  * cap: live entries are rewritten oldest-dropped-first into a temp
@@ -31,11 +22,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "checkpoint/journal.hh"
-#include "checkpoint/store.hh"
 
 namespace memwall {
 namespace server {
@@ -46,8 +35,9 @@ class ResultCache
     /**
      * Open (or create) the cache in directory @p dir. Existing
      * journal records from the same build are replayed into the memo
-     * table. @p cap_bytes bounds both the journal file and the MWCP
-     * mirror; 0 = unbounded. Returns false with @p why on I/O errors.
+     * table. @p cap_bytes bounds the journal file (the oldest entries
+     * are compacted away); 0 = unbounded. Returns false with @p why
+     * on I/O errors.
      */
     bool open(const std::string &dir, std::uint64_t cap_bytes,
               std::string *why);
@@ -65,7 +55,7 @@ class ResultCache
 
     /**
      * Memoize @p result under @p canonical, durably (journal append
-     * + fsync) and mirrored to an MWCP entry. A failure to persist
+     * + fsync). A failure to persist
      * is reported but the in-memory entry is still usable — the
      * result is correct, it just will not survive a restart.
      */
@@ -82,11 +72,6 @@ class ResultCache
     bool discardedForeign() const { return discarded_foreign_; }
     /** Journal compactions performed since open(). */
     std::uint64_t compactions() const { return compactions_; }
-    /** Mirror-store counters (eviction, write errors, ...). */
-    ckpt::StoreCounters mirrorCounters() const
-    {
-        return mirror_ ? mirror_->counters() : ckpt::StoreCounters{};
-    }
 
   private:
     struct Entry
@@ -97,8 +82,6 @@ class ResultCache
 
     bool appendRecord(const std::string &canonical,
                       const std::string &result, std::string *why);
-    void mirrorEntry(const std::string &canonical,
-                     const std::string &result);
     bool compact(std::string *why);
 
     std::string dir_;
@@ -112,7 +95,6 @@ class ResultCache
     std::size_t torn_bytes_ = 0;
     bool discarded_foreign_ = false;
     ckpt::SweepJournal journal_;
-    std::unique_ptr<ckpt::CheckpointStore> mirror_;
     std::map<std::string, Entry> entries_;
 };
 

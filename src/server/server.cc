@@ -373,7 +373,11 @@ MwServer::handleRun(const Request &req)
     const auto arrival = Clock::now();
     const auto deadline = arrival + ms(req.run.deadline_ms);
 
-    const std::string canonical = canonicalRunKey(req.run);
+    // The key is derived from the plan, so build it first — outside
+    // mu_, since building a plan needs no server state.
+    CatalogPlan plan = build_plan_(req.run);
+    MW_ASSERT(!plan.points.empty(), "catalog plan with no points");
+    const std::string canonical = canonicalRunKey(req.run, plan);
 
     std::unique_lock<std::mutex> lk(mu_);
     std::shared_ptr<Inflight> entry;
@@ -386,14 +390,14 @@ MwServer::handleRun(const Request &req)
         if (stopping_)
             return errorResponse(req.id, ErrorCode::ShuttingDown,
                                  "server is draining");
-        if (quarantined_.contains(canonical))
-            return errorResponse(
-                req.id, ErrorCode::Quarantined,
-                "a previous computation of this request wedged; the "
-                "key is fenced off until it completes",
-                static_cast<long>(opt_.wedge_grace_ms));
         if (auto it = inflight_.find(canonical);
             it != inflight_.end()) {
+            if (it->second->quarantined)
+                return errorResponse(
+                    req.id, ErrorCode::Quarantined,
+                    "a previous computation of this request wedged; "
+                    "the key is fenced off until it completes",
+                    static_cast<long>(opt_.wedge_grace_ms));
             entry = it->second;
             ++counters_.dedup_joined;
             break;
@@ -430,9 +434,7 @@ MwServer::handleRun(const Request &req)
         auto job = std::make_shared<ComputeJob>();
         job->canonical = canonical;
         job->entry = entry;
-        job->plan = build_plan_(req.run);
-        MW_ASSERT(!job->plan.points.empty(),
-                  "catalog plan with no points");
+        job->plan = std::move(plan);
         job->results.resize(job->plan.points.size());
         job->remaining = job->plan.points.size();
         pending_.push_back(std::move(job));
@@ -630,7 +632,6 @@ MwServer::finalize(const std::shared_ptr<ComputeJob> &job)
     if (entry->quarantined) {
         // The wedged computation finally finished: lift the fence so
         // the (now cached) key serves normally again.
-        quarantined_.erase(job->canonical);
         entry->quarantined = false;
         ++counters_.unquarantines;
     }
@@ -662,11 +663,11 @@ MwServer::watchdogLoop()
             if (entry->running_units == 0 ||
                 now - entry->last_progress < ms(opt_.wedge_grace_ms))
                 continue;
-            quarantined_.insert(canonical);
             entry->quarantined = true;
             ++counters_.quarantines;
+            // The key's first line names the experiment and seed.
             MW_WARN("mw-server: quarantined wedged computation: ",
-                    canonical);
+                    canonical.substr(0, canonical.find('\n')));
             entry->cv.notify_all();
         }
     }
@@ -680,25 +681,24 @@ MwServer::statsJson()
     // drag mu_ into waiting on that.
     ServerCounters counters;
     std::size_t inflight_count = 0;
-    std::size_t quarantined_count = 0;
+    std::size_t quarantine_count = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         counters = counters_;
         inflight_count = inflight_.size();
-        quarantined_count = quarantined_.size();
+        for (const auto &[canonical, entry] : inflight_)
+            quarantine_count += entry->quarantined ? 1 : 0;
     }
     std::size_t cache_entries = 0;
     std::size_t cache_recovered = 0;
     std::size_t cache_torn = 0;
     std::uint64_t cache_compactions = 0;
-    ckpt::StoreCounters mirror;
     {
         std::lock_guard<std::mutex> cache_lock(cache_mu_);
         cache_entries = cache_.size();
         cache_recovered = cache_.recovered();
         cache_torn = cache_.tornBytes();
         cache_compactions = cache_.compactions();
-        mirror = cache_.mirrorCounters();
     }
     std::string out = "{\"build\":\"";
     out += jsonEscape(gitDescribe());
@@ -737,12 +737,9 @@ MwServer::statsJson()
     out += ",\"recovered\":" + std::to_string(cache_recovered);
     out += ",\"torn_bytes\":" + std::to_string(cache_torn);
     out += ",\"compactions\":" + std::to_string(cache_compactions);
-    out += ",\"mirror_evicted\":" + std::to_string(mirror.evicted);
-    out += ",\"mirror_write_errors\":" +
-           std::to_string(mirror.write_errors);
     out += "},\"inflight\":" + std::to_string(inflight_count);
     out += ",\"quarantined\":" +
-           std::to_string(quarantined_count);
+           std::to_string(quarantine_count);
     out += "}";
     return out;
 }

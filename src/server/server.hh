@@ -71,7 +71,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,6 +188,8 @@ class MwServer
          *  means every remaining unit is still queued: the entry is
          *  waiting its turn and the watchdog never charges it. */
         unsigned running_units = 0;
+        /** Set by the watchdog: requests for this key fail fast with
+         *  quarantined until the computation finishes. */
         bool quarantined = false;
     };
 
@@ -244,7 +245,6 @@ class MwServer
     mutable std::mutex cache_mu_;
     ResultCache cache_; // guarded by cache_mu_ once threads exist
     std::map<std::string, std::shared_ptr<Inflight>> inflight_;
-    std::set<std::string> quarantined_;
     ServerCounters counters_;
     /** Runs awaiting a batch pass; guarded by mu_. */
     std::vector<std::shared_ptr<ComputeJob>> pending_;

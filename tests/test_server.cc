@@ -28,7 +28,7 @@
 
 #include <cmath>
 
-#include "checkpoint/checkpoint.hh"
+#include "server/catalog.hh"
 #include "server/json.hh"
 #include "server/protocol.hh"
 #include "server/result_cache.hh"
@@ -86,6 +86,14 @@ parseErr(const std::string &text)
     std::string err;
     EXPECT_FALSE(parseJson(text, v, err)) << "accepted: " << text;
     return err;
+}
+
+/** The cache key of @p run, derived from its catalog plan as the
+ *  server derives it. */
+std::string
+keyOf(const RunRequest &run)
+{
+    return canonicalRunKey(run, buildCatalogPlan(run, ""));
 }
 
 // --------------------------------------------------------------------
@@ -364,21 +372,55 @@ TEST(ServerProtocol, CanonicalKeyCollapsesEquivalentRequests)
     quick.quick = true;
     RunRequest explicit_refs;
     explicit_refs.refs = 400'000; // what quick resolves to
-    EXPECT_EQ(canonicalRunKey(quick),
-              canonicalRunKey(explicit_refs));
-    EXPECT_EQ(runKeyHash(quick), runKeyHash(explicit_refs));
+    EXPECT_EQ(keyOf(quick), keyOf(explicit_refs));
 
     RunRequest other_seed = quick;
     other_seed.seed = 7;
-    EXPECT_NE(canonicalRunKey(quick), canonicalRunKey(other_seed));
+    EXPECT_NE(keyOf(quick), keyOf(other_seed));
 
     RunRequest fig8 = quick;
     fig8.experiment = Experiment::Fig8;
-    EXPECT_NE(canonicalRunKey(quick), canonicalRunKey(fig8));
+    EXPECT_NE(keyOf(quick), keyOf(fig8));
 
-    EXPECT_NE(canonicalRunKey(quick).find(gitDescribe()),
+    EXPECT_NE(keyOf(quick).find(gitDescribe()),
               std::string::npos)
         << "the build id must be part of the key";
+}
+
+TEST(ServerProtocol, TableKeysCarryTheGspnCount)
+{
+    // Both resolve to the same 400k/100k windows; quick also cuts the
+    // GSPN instruction count. Only the unit keys can tell them apart.
+    RunRequest quick;
+    quick.experiment = Experiment::Table3;
+    quick.quick = true;
+    RunRequest explicit_refs;
+    explicit_refs.experiment = Experiment::Table3;
+    explicit_refs.refs = 400'000;
+    EXPECT_NE(keyOf(quick), keyOf(explicit_refs));
+}
+
+TEST(ServerCatalog, EveryExperimentHasExactlyOneEntry)
+{
+    constexpr int experiments =
+        static_cast<int>(Experiment::Fig17Pthor) + 1;
+    EXPECT_EQ(catalog().size(), static_cast<std::size_t>(experiments));
+    for (int i = 0; i < experiments; ++i) {
+        const auto exp = static_cast<Experiment>(i);
+        int entries = 0;
+        for (const CatalogEntry &e : catalog())
+            entries += e.experiment == exp ? 1 : 0;
+        EXPECT_EQ(entries, 1) << experimentName(exp);
+
+        Experiment back{};
+        ASSERT_TRUE(parseExperimentName(experimentName(exp), back));
+        EXPECT_EQ(back, exp);
+        // Only the SPLASH entries name a figure, and they take nodes.
+        EXPECT_EQ(catalogEntry(exp).splash.has_value(),
+                  catalogEntry(exp).takes_nodes);
+    }
+    EXPECT_EQ(catalogNames(), "fig7 fig8 table1 table3 table4 fig13 "
+                              "fig14 fig15 fig16 fig17");
 }
 
 TEST(ServerProtocol, ParsesTheFullCatalogByName)
@@ -472,7 +514,7 @@ TEST(ServerProtocol, CanonicalKeysSeparateCatalogEntries)
         RunRequest run;
         ASSERT_TRUE(parseExperimentName(name, run.experiment));
         run.quick = true;
-        keys.push_back(canonicalRunKey(run));
+        keys.push_back(keyOf(run));
     }
     for (std::size_t i = 0; i < keys.size(); ++i)
         for (std::size_t j = i + 1; j < keys.size(); ++j)
@@ -487,12 +529,12 @@ TEST(ServerProtocol, CanonicalKeysSeparateCatalogEntries)
     ASSERT_TRUE(tryParseSamplingPlan("U=500,W=1000,k=4",
                                      sampled.sample, &why))
         << why;
-    EXPECT_NE(canonicalRunKey(sampled), keys[0]);
+    EXPECT_NE(keyOf(sampled), keys[0]);
     RunRequest sampled2 = sampled;
     ASSERT_TRUE(tryParseSamplingPlan("U=500,W=1000,k=8",
                                      sampled2.sample, &why))
         << why;
-    EXPECT_NE(canonicalRunKey(sampled), canonicalRunKey(sampled2));
+    EXPECT_NE(keyOf(sampled), keyOf(sampled2));
 
     // A node-restricted SPLASH sweep keys differently from the full
     // axis.
@@ -501,7 +543,7 @@ TEST(ServerProtocol, CanonicalKeysSeparateCatalogEntries)
     lu.quick = true;
     RunRequest lu4 = lu;
     lu4.nodes = 4;
-    EXPECT_NE(canonicalRunKey(lu), canonicalRunKey(lu4));
+    EXPECT_NE(keyOf(lu), keyOf(lu4));
 }
 
 TEST(ServerProtocol, SanitizedBuildIdNeverAliasesBuilds)
@@ -647,34 +689,6 @@ TEST(ResultCacheTest, TornJournalTailIsDroppedNotFatal)
     EXPECT_GT(cache.tornBytes(), 0u);
     EXPECT_EQ(cache.recovered(), 1u);
     ASSERT_NE(cache.lookup("k1"), nullptr);
-}
-
-TEST(ResultCacheTest, MirrorEntriesAreValidCheckpoints)
-{
-    TempDir dir;
-    std::string why;
-    ResultCache cache;
-    ASSERT_TRUE(cache.open(dir.path(), 0, &why)) << why;
-    ASSERT_TRUE(cache.insert("key", "payload", &why)) << why;
-
-    // Exactly one .mwcp mirror entry, loadable with full validation.
-    std::string mwcp;
-    const std::string cmd =
-        "ls " + dir.path() + "/*.mwcp > " + dir.path() + "/ls.txt";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
-    std::FILE *f = std::fopen((dir.path() + "/ls.txt").c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[512];
-    ASSERT_NE(std::fgets(buf, sizeof(buf), f), nullptr);
-    std::fclose(f);
-    mwcp.assign(buf);
-    if (!mwcp.empty() && mwcp.back() == '\n')
-        mwcp.pop_back();
-
-    ckpt::CheckpointReader reader;
-    EXPECT_EQ(reader.loadFile(mwcp, std::nullopt),
-              ckpt::LoadError::None)
-        << reader.errorDetail();
 }
 
 TEST(ResultCacheTest, CompactionEvictsOldestWhenOverCap)

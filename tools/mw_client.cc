@@ -11,10 +11,10 @@
  *   mw-client --socket PATH shutdown
  *   mw-client --socket PATH send JSON     (raw request passthrough)
  *
- * NAME is a catalog entry: fig7, fig8, table1, table3, table4, or a
- * SPLASH figure fig13..fig17. --sample forwards a sampling plan (the
- * bench --sample syntax) for the experiments that accept one;
- * --nodes restricts a SPLASH sweep to one processor count.
+ * NAME is a catalog entry; the usage text lists the catalog table's
+ * names. --sample forwards a sampling plan (the bench --sample
+ * syntax) for the experiments that accept one; --nodes restricts a
+ * SPLASH sweep to one processor count.
  *
  * --timeout-ms bounds the WHOLE transaction per syscall: the
  * connect itself (a wedged server whose accept backlog is full hangs
@@ -38,6 +38,7 @@
 
 #include <unistd.h>
 
+#include "server/catalog.hh"
 #include "server/json.hh"
 #include "server/wire.hh"
 
@@ -60,8 +61,8 @@ usage(const char *why)
         "                 [--id STR] [--raw-result]\n"
         "       mw-client --socket PATH stats|ping|shutdown\n"
         "       mw-client --socket PATH send JSON\n"
-        "catalog: fig7 fig8 table1 table3 table4 fig13 fig14 fig15 "
-        "fig16 fig17\n");
+        "catalog: %s\n",
+        catalogNames().c_str());
     std::exit(2);
 }
 
@@ -149,8 +150,9 @@ main(int argc, char **argv)
         request = raw_json;
     } else if (cmd == "run") {
         if (experiment.empty())
-            usage("run needs --experiment NAME (fig7 fig8 table1 "
-                  "table3 table4 fig13 fig14 fig15 fig16 fig17)");
+            usage(("run needs --experiment NAME (" + catalogNames() +
+                   ")")
+                      .c_str());
         request = "{\"cmd\":\"run\",\"experiment\":\"" +
                   jsonEscape(experiment) + "\"";
         if (!id.empty())
