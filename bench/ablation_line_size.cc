@@ -22,7 +22,7 @@ using namespace memwall;
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv);
+    auto opt = benchutil::parse(argc, argv, {"--jobs"});
     benchutil::banner("Ablation - column line size at 16 KB capacity",
                       opt);
 

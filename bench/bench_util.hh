@@ -6,20 +6,23 @@
  *   --refs N     measured references per workload (default varies)
  *   --quick      cut the workload sizes ~10x for smoke runs
  *   --seed S     RNG seed
- *   --jobs N     worker threads for the point sweep (default: one
- *                per hardware thread; 1 = serial reference run).
- *                Output is byte-identical for every N (see
- *                harness/parallel_sweep.hh).
  *
  * A bench may register additional value-taking flags (e.g.
  * `--reseeds 0,777,31415`) by passing them to parse(); their values
  * land in Options::extra keyed by flag name, and the comma-list
  * helpers below turn them into numbers.
  *
- * A bench with machine-readable output registers "--format" the same
- * way; parse() then reads `--format text|json` into Options::format.
- * A bench that does not register it rejects the flag as unknown, so
- * `--format json` never silently prints text.
+ * Two registered flags are parsed into typed fields instead:
+ *   --format text|json   a bench with machine-readable output;
+ *                        read into Options::format
+ *   --jobs N             a bench that sweeps points in parallel;
+ *                        worker threads (default: one per hardware
+ *                        thread; 1 = serial reference run). Output
+ *                        is byte-identical for every N (see
+ *                        harness/parallel_sweep.hh).
+ * A bench that does not register one rejects it as an unknown flag,
+ * so `--format json` never silently prints text and `--jobs 4`
+ * never silently runs serially.
  */
 
 #ifndef MEMWALL_BENCH_BENCH_UTIL_HH
@@ -55,7 +58,8 @@ struct Options
     std::uint64_t refs = 0;  ///< 0 = use the bench's default
     bool quick = false;
     std::uint64_t seed = 42;
-    /** Sweep worker threads; 1 runs points serially inline. */
+    /** Sweep worker threads (registered --jobs); 1 runs points
+     * serially inline. */
     unsigned jobs = defaultJobs();
     /** Output format: "text" or "json". */
     std::string format = "text";
@@ -90,15 +94,13 @@ inline void
 printUsage(const char *prog,
            std::initializer_list<const char *> extra_flags)
 {
-    std::fprintf(stderr,
-                 "usage: %s [--refs N] [--quick] [--seed S] "
-                 "[--jobs N]",
+    std::fprintf(stderr, "usage: %s [--refs N] [--quick] [--seed S]",
                  prog);
     for (const char *flag : extra_flags)
         std::fprintf(stderr,
-                     std::strcmp(flag, "--format") == 0
-                         ? " [%s text|json]"
-                         : " [%s V[,V...]]",
+                     std::strcmp(flag, "--format") == 0 ? " [%s text|json]"
+                     : std::strcmp(flag, "--jobs") == 0 ? " [%s N]"
+                                                        : " [%s V[,V...]]",
                      flag);
     std::fprintf(stderr, "\n");
 }
@@ -170,7 +172,8 @@ parse(int argc, char **argv,
                                opt.format + "' for --format");
             continue;
         }
-        if (std::strcmp(argv[i], "--jobs") == 0) {
+        if (std::strcmp(argv[i], "--jobs") == 0 &&
+            registered(extra_flags, "--jobs")) {
             const std::uint64_t jobs =
                 parseU64Flag(value_of(i), "--jobs", prog,
                              extra_flags);
@@ -290,16 +293,6 @@ parseU64List(const std::string &list)
     std::vector<std::uint64_t> out;
     for (const std::string &item : splitList(list))
         out.push_back(std::strtoull(item.c_str(), nullptr, 0));
-    return out;
-}
-
-/** Parse a comma-separated list of doubles ("0,1e-6,5e-5"). */
-inline std::vector<double>
-parseDoubleList(const std::string &list)
-{
-    std::vector<double> out;
-    for (const std::string &item : splitList(list))
-        out.push_back(std::strtod(item.c_str(), nullptr));
     return out;
 }
 

@@ -14,6 +14,7 @@
  *
  * Flags beyond the common set, as each experiment's catalog entry
  * lists them:
+ *   --jobs N             all ten: sweep workers (bench_util.hh)
  *   --format text|json   all ten
  *   --sample PLAN        miss-rate and SPLASH figures (sampling/plan.hh)
  *   --nodes N            SPLASH figures: one processor count, not the

@@ -277,7 +277,7 @@ void
 BM_EventQueueScheduleCancel(benchmark::State &state)
 {
     // Schedule a burst, cancel every other event, drain the rest —
-    // the retransmission-timer pattern of the reliable link.
+    // the pattern of timeouts that are mostly cancelled.
     EventQueue q;
     std::uint64_t fired = 0;
     std::vector<std::uint64_t> tickets(256);

@@ -20,7 +20,7 @@ using namespace memwall;
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv);
+    auto opt = benchutil::parse(argc, argv, {"--jobs"});
     benchutil::banner("Section 5.6 - memory bank sweep", opt);
 
     const SpecEvalParams params =

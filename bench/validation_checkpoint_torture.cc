@@ -510,7 +510,7 @@ resumeLeg(const std::vector<const SpecWorkload *> &set,
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv, {"--min-speedup"});
+    auto opt = benchutil::parse(argc, argv, {"--jobs", "--min-speedup"});
     const double min_speedup =
         std::strtod(opt.extraOr("--min-speedup", "10").c_str(),
                     nullptr);

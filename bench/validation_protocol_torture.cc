@@ -5,20 +5,20 @@
  *
  * Part 1 (torture matrix): drives false-sharing, hot-contended,
  * migratory and random-mix access patterns across all three NodeArch
- * variants x three fault settings x several seeds — at least 32
- * independent points — each simulated under a CoherenceVerifier. A
- * healthy protocol must complete every point with ZERO invariant
- * violations, fault injection included (faults perturb latency and
- * raise machine checks; they must never corrupt coherence).
+ * variants x several seeds (12 by default: 36 independent points),
+ * each simulated under a CoherenceVerifier. A healthy protocol must
+ * complete every point with ZERO invariant violations.
  *
  * Part 2 (mutation mode): deliberately corrupts one protocol
  * transition per run (NumaConfig::mutation) and demands the checker
  * CATCH it — a violation count of zero in a mutated run means the
  * detector is blind, and the bench fails. This proves the matrix's
  * green result is meaningful. `--mutate <kind|all>` runs only this
- * part (CI uses it as a detector-sensitivity step).
+ * part (CI uses it as a detector-sensitivity step); an unknown
+ * mutation name is a usage error, so a typo can never pass by
+ * running nothing.
  *
- * Points run on the PR 2 parallel harness (--jobs), committed in
+ * Points run on the parallel harness (--jobs), committed in
  * submission order, so output is byte-identical at any job count.
  */
 
@@ -40,20 +40,6 @@ namespace {
 
 enum class Pattern { FalseSharing, HotContended, Migratory, RandomMix };
 
-struct FaultSetting
-{
-    const char *name;
-    double nack_rate;
-    double bit_error_rate;
-    double drop_rate;
-};
-
-constexpr FaultSetting kFaultSettings[] = {
-    {"none", 0.0, 0.0, 0.0},
-    {"low", 0.02, 1e-6, 1e-4},
-    {"high", 0.2, 1e-5, 1e-3},
-};
-
 struct ArchSetting
 {
     const char *name;
@@ -67,21 +53,12 @@ constexpr ArchSetting kArchs[] = {
 };
 
 NumaConfig
-machineConfig(const ArchSetting &arch, const FaultSetting &fault,
-              std::uint64_t seed, unsigned nodes)
+machineConfig(const ArchSetting &arch, unsigned nodes)
 {
     NumaConfig config;
     config.nodes = nodes;
     config.arch = arch.arch;
     config.victim_cache = arch.arch == NodeArch::Integrated;
-    config.protocol_fault.nack_rate = fault.nack_rate;
-    config.protocol_fault.seed = seed;
-    if (fault.bit_error_rate > 0.0 || fault.drop_rate > 0.0) {
-        config.model_fabric_contention = true;
-        config.fabric.fault.bit_error_rate = fault.bit_error_rate;
-        config.fabric.fault.drop_rate = fault.drop_rate;
-        config.fabric.fault.seed = seed ^ 0x5bf0'3635'dcf8'2aedULL;
-    }
     return config;
 }
 
@@ -133,22 +110,18 @@ struct PointResult
 {
     std::uint64_t checked = 0;
     std::uint64_t violations = 0;
-    std::uint64_t machine_checks = 0;
-    std::uint64_t recorded = 0;
     std::string first_violation;
 };
 
 PointResult
-runPoint(const ArchSetting &arch, const FaultSetting &fault,
-         std::uint64_t seed, std::uint64_t accesses_per_pattern)
+runPoint(const ArchSetting &arch, std::uint64_t seed,
+         std::uint64_t accesses_per_pattern)
 {
-    NumaMachine machine(
-        machineConfig(arch, fault, seed, /*nodes=*/8));
+    NumaMachine machine(machineConfig(arch, /*nodes=*/8));
     VerifyConfig vc;
     vc.policy = ViolationPolicy::Count;
     CoherenceVerifier verifier(machine, vc);
-    // Dumps from machine checks under fault injection are expected;
-    // keep them out of the report stream.
+    // A violation's dump is summarised in the table, not printed.
     std::ostringstream sink;
     verifier.setReportStream(sink);
 
@@ -163,8 +136,6 @@ runPoint(const ArchSetting &arch, const FaultSetting &fault,
     PointResult res;
     res.checked = verifier.checked();
     res.violations = verifier.violations();
-    res.machine_checks = machine.protocolFailures();
-    res.recorded = verifier.recorder().recorded();
     if (!verifier.firstViolations().empty())
         res.first_violation = verifier.firstViolations()[0].what;
     return res;
@@ -182,8 +153,7 @@ MutationResult
 runMutation(const ArchSetting &arch, ProtocolMutation mutation,
             std::uint64_t seed, std::uint64_t accesses_per_pattern)
 {
-    NumaConfig config =
-        machineConfig(arch, kFaultSettings[0], seed, /*nodes=*/4);
+    NumaConfig config = machineConfig(arch, /*nodes=*/4);
     config.mutation = mutation;
     NumaMachine machine(config);
     VerifyConfig vc;
@@ -217,74 +187,82 @@ constexpr ProtocolMutation kMutations[] = {
     ProtocolMutation::MissedDowngrade,
 };
 
+constexpr std::initializer_list<const char *> flags = {
+    "--jobs", "--mutate", "--seeds"};
+
+/** Whether @p name is "all" or the name of one of kMutations. */
+bool
+knownMutation(const std::string &name)
+{
+    if (name == "all")
+        return true;
+    for (ProtocolMutation mutation : kMutations)
+        if (name == protocolMutationName(mutation))
+            return true;
+    return false;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    auto opt = parse(argc, argv, {"--mutate", "--seeds"});
+    auto opt = parse(argc, argv, flags);
+    const std::uint64_t nseeds = parseU64Flag(
+        opt.extraOr("--seeds", "12").c_str(), "--seeds", argv[0], flags);
+    if (nseeds == 0)
+        usageError(argv[0], flags,
+                   "invalid value '0' for --seeds (need at least 1)");
+    const bool mutate_only = opt.extra.count("--mutate") != 0;
+    const std::string mutate = opt.extraOr("--mutate", "");
+    if (mutate_only && !knownMutation(mutate))
+        usageError(argv[0], flags,
+                   "unknown mutation '" + mutate +
+                       "' for --mutate (all, skip-invalidate, "
+                       "drop-sharer, wrong-owner, missed-downgrade)");
     banner("protocol torture tester (shadow checker + mutations)",
            opt);
 
     const std::uint64_t accesses =
         opt.refs ? opt.refs : (opt.quick ? 2'000 : 20'000);
-    const std::uint64_t nseeds =
-        std::strtoull(opt.extraOr("--seeds", "4").c_str(), nullptr,
-                      0);
-    const std::string mutate_only = opt.extraOr("--mutate", "");
 
     bool all_ok = true;
 
-    if (mutate_only.empty()) {
+    if (!mutate_only) {
         // ---- Part 1: the torture matrix ---------------------------
-        std::printf("torture matrix: %u archs x %u fault settings x "
-                    "%llu seeds, %llu refs/pattern\n\n",
+        std::printf("torture matrix: %u archs x %llu seeds, %llu "
+                    "refs/pattern\n\n",
                     static_cast<unsigned>(std::size(kArchs)),
-                    static_cast<unsigned>(
-                        std::size(kFaultSettings)),
                     static_cast<unsigned long long>(nseeds),
                     static_cast<unsigned long long>(accesses));
-        std::printf("%-12s %-6s %-10s %10s %10s %8s %6s\n", "arch",
-                    "fault", "seed", "checked", "violations",
-                    "mchecks", "ok");
+        std::printf("%-12s %-10s %10s %10s %6s\n", "arch", "seed",
+                    "checked", "violations", "ok");
 
         ParallelSweep<PointResult> sweep(opt.jobs, opt.seed);
         for (const ArchSetting &arch : kArchs) {
-            for (const FaultSetting &fault : kFaultSettings) {
-                for (std::uint64_t s = 0; s < nseeds; ++s) {
-                    sweep.submit(
-                        [&arch, &fault,
-                         accesses](const PointContext &ctx) {
-                            return runPoint(arch, fault, ctx.seed,
-                                            accesses);
-                        },
-                        [&arch, &fault, &all_ok](
-                            const PointContext &ctx,
-                            PointResult res) {
-                            const bool ok = res.violations == 0;
-                            all_ok = all_ok && ok;
-                            std::printf("%-12s %-6s %-10llu %10llu "
-                                        "%10llu %8llu %6s\n",
-                                        arch.name, fault.name,
-                                        static_cast<
-                                            unsigned long long>(
-                                            ctx.seed % 1'000'000),
-                                        static_cast<
-                                            unsigned long long>(
-                                            res.checked),
-                                        static_cast<
-                                            unsigned long long>(
-                                            res.violations),
-                                        static_cast<
-                                            unsigned long long>(
-                                            res.machine_checks),
-                                        ok ? "PASS" : "FAIL");
-                            if (!ok)
-                                std::printf(
-                                    "    first violation: %s\n",
-                                    res.first_violation.c_str());
-                        });
-                }
+            for (std::uint64_t s = 0; s < nseeds; ++s) {
+                sweep.submit(
+                    [&arch, accesses](const PointContext &ctx) {
+                        return runPoint(arch, ctx.seed, accesses);
+                    },
+                    [&arch, &all_ok](const PointContext &ctx,
+                                     PointResult res) {
+                        const bool ok = res.violations == 0;
+                        all_ok = all_ok && ok;
+                        std::printf(
+                            "%-12s %-10llu %10llu %10llu %6s\n",
+                            arch.name,
+                            static_cast<unsigned long long>(
+                                ctx.seed % 1'000'000),
+                            static_cast<unsigned long long>(
+                                res.checked),
+                            static_cast<unsigned long long>(
+                                res.violations),
+                            ok ? "PASS" : "FAIL");
+                        if (!ok)
+                            std::printf("    first violation: %s\n",
+                                        res.first_violation.c_str());
+                    });
             }
         }
         sweep.finish();
@@ -300,8 +278,8 @@ main(int argc, char **argv)
                 "arch", "mutated", "violations", "dump", "result");
     bool mutations_ok = true;
     for (ProtocolMutation mutation : kMutations) {
-        if (!mutate_only.empty() && mutate_only != "all" &&
-            mutate_only != protocolMutationName(mutation))
+        if (mutate_only && mutate != "all" &&
+            mutate != protocolMutationName(mutation))
             continue;
         for (const ArchSetting &arch : kArchs) {
             const MutationResult res = runMutation(

@@ -302,7 +302,8 @@ int
 main(int argc, char **argv)
 {
     auto opt =
-        benchutil::parse(argc, argv, {"--min-speedup", "--format"});
+        benchutil::parse(argc, argv,
+                         {"--jobs", "--min-speedup", "--format"});
     const double min_speedup =
         std::strtod(opt.extraOr("--min-speedup", "5").c_str(),
                     nullptr);

@@ -367,7 +367,7 @@ goldenFig7Sampled(const std::string &plan_text)
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv);
+    auto opt = benchutil::parse(argc, argv, {"--jobs"});
     benchutil::banner("Validation - experiment-service torture", opt);
 
     const std::uint64_t refs =

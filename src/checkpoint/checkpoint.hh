@@ -40,7 +40,7 @@ namespace memwall {
 namespace ckpt {
 
 /** Bumped whenever the serialized state layout changes shape. */
-constexpr std::uint32_t format_version = 1;
+constexpr std::uint32_t format_version = 2;
 
 /** Four-character section/file tags, e.g. fourcc("CACH"). */
 constexpr std::uint32_t

@@ -27,8 +27,7 @@ protocolMutationName(ProtocolMutation mutation)
 }
 
 NumaMachine::NumaMachine(NumaConfig config)
-    : config_(config), directory_(config.nodes),
-      proto_rng_(config.protocol_fault.seed)
+    : config_(config), directory_(config.nodes)
 {
     MW_ASSERT(config_.nodes >= 1 &&
                   config_.nodes <= DirEntry::max_nodes,
@@ -64,26 +63,6 @@ NumaMachine::NumaMachine(NumaConfig config)
             node.flc = std::make_unique<Cache>(config_.flc);
             break;
         }
-    }
-}
-
-void
-NumaMachine::attachObserver(ProtocolObserver *observer)
-{
-    obs_ = observer;
-    if (!fabric_)
-        return;
-    // Mirror fabric deliveries into the observer so link-level
-    // retransmissions and failures land in the flight recorder.
-    if (obs_) {
-        fabric_->setSendHook([this](Tick deliver, unsigned src,
-                                    unsigned dst, MsgType,
-                                    const LinkSendOutcome &out) {
-            obs_->linkMessage(deliver, src, dst, out.attempts,
-                              out.failed);
-        });
-    } else {
-        fabric_->setSendHook({});
     }
 }
 
@@ -291,56 +270,21 @@ NumaMachine::invalidateSharers(const DirEntry &entry, Addr block,
 }
 
 Cycles
-NumaMachine::remoteRoundTrip(unsigned cpu, unsigned home,
-                             Addr block, Tick now, Cycles floor)
+NumaMachine::remoteRoundTrip(unsigned cpu, unsigned home, Tick now,
+                             Cycles floor)
 {
-    auto attempt = [&](Tick when) -> Cycles {
-        if (!fabric_ || home == cpu)
-            return floor;
-        // Request across the fabric, service at the home node's
-        // protocol engine (which serialises transactions), reply
-        // with the 32-byte payload.
-        const Tick req =
-            fabric_->send(when, cpu, home, MsgType::ReadRequest);
-        const Tick start = std::max(req, engine_free_[home]);
-        const Tick done = start + config_.engine_occupancy;
-        engine_free_[home] = done;
-        const Tick reply =
-            fabric_->send(done, home, cpu, MsgType::ReadReply);
-        return static_cast<Cycles>(
-            std::max<Tick>(reply > when ? reply - when : 0, floor));
-    };
-
-    Cycles total = attempt(now);
-    const ProtocolFaultConfig &pf = config_.protocol_fault;
-    if (pf.enabled() && home != cpu) {
-        // The home engine may NACK the transaction (overload, drop
-        // under pressure); the requester backs off and retries, each
-        // retry paying a full round trip. A bounded budget turns a
-        // persistently failing transaction into a machine check
-        // instead of a livelock.
-        Cycles backoff = pf.backoff_base;
-        unsigned tries = 0;
-        while (proto_rng_.bernoulli(pf.nack_rate)) {
-            nacks_.inc();
-            if (obs_)
-                obs_->protocolNack(cpu, block, tries + 1, now);
-            if (tries == pf.max_retries) {
-                proto_failures_.inc();
-                if (obs_)
-                    obs_->protocolMachineCheck(cpu, block, now);
-                break;
-            }
-            ++tries;
-            retries_.inc();
-            if (obs_)
-                obs_->protocolRetry(cpu, block, tries, backoff,
-                                    now);
-            total += backoff + attempt(now + total);
-            backoff = std::min<Cycles>(backoff * 2, pf.backoff_cap);
-        }
-    }
-    return total;
+    if (!fabric_ || home == cpu)
+        return floor;
+    // Request across the fabric, service at the home node's protocol
+    // engine (which serialises transactions), reply with the 32-byte
+    // payload.
+    const Tick req = fabric_->send(now, cpu, home, MsgType::ReadRequest);
+    const Tick start = std::max(req, engine_free_[home]);
+    const Tick done = start + config_.engine_occupancy;
+    engine_free_[home] = done;
+    const Tick reply = fabric_->send(done, home, cpu, MsgType::ReadReply);
+    return static_cast<Cycles>(
+        std::max<Tick>(reply > now ? reply - now : 0, floor));
 }
 
 Cycles
@@ -422,7 +366,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
             }
             last_service_ = ServiceLevel::Remote;
             n.stats.remote_loads.inc();
-            return remoteRoundTrip(cpu, home, block, now, lat.remote_load);
+            return remoteRoundTrip(cpu, home, now, lat.remote_load);
         }
         if (home == cpu) {
             fillLocal(cpu, block, st);
@@ -442,7 +386,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
             n.columns->stageRemoteBlock(block);
             last_service_ = ServiceLevel::Remote;
             n.stats.remote_loads.inc();
-            return remoteRoundTrip(cpu, home, block, now, lat.remote_load);
+            return remoteRoundTrip(cpu, home, now, lat.remote_load);
         }
         if (n.slc.contains(block)) {
             n.flc->access(block, st);
@@ -454,7 +398,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
         n.slc.insert(block);
         last_service_ = ServiceLevel::Remote;
         n.stats.remote_loads.inc();
-        return remoteRoundTrip(cpu, home, block, now, lat.remote_load);
+        return remoteRoundTrip(cpu, home, now, lat.remote_load);
     };
 
     // Import a remote block after a fabric transaction.
@@ -490,7 +434,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
             remote_import(false);
             last_service_ = ServiceLevel::Remote;
             n.stats.remote_loads.inc();
-            return remoteRoundTrip(cpu, e.owner(), block, now,
+            return remoteRoundTrip(cpu, e.owner(), now,
                                    lat.remote_load);
         }
         // DropSharer mutation: the directory never records this
@@ -539,8 +483,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
                                home == cpu
                                    ? (cpu + 1) % config_.nodes
                                    : home,
-                               block, now,
-                               lat.invalidation_round_trip);
+                               now, lat.invalidation_round_trip);
     } else if (home == cpu) {
         // Sole (or no) copy, local home: the directory grant is a
         // local memory transaction.
@@ -552,7 +495,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
         // round trip whether or not the data is already here.
         last_service_ = ServiceLevel::Remote;
         n.stats.remote_loads.inc();
-        cost = remoteRoundTrip(cpu, home, block, now, lat.remote_load);
+        cost = remoteRoundTrip(cpu, home, now, lat.remote_load);
     }
     // WrongOwner mutation: the directory grants exclusive ownership
     // to the wrong node after a store.
@@ -667,10 +610,6 @@ NumaMachine::saveState(ckpt::Encoder &e) const
 
     directory_.saveState(e);
     e.varint(mutated_transitions_);
-    ckpt::putRng(e, proto_rng_);
-    ckpt::putCounter(e, nacks_);
-    ckpt::putCounter(e, retries_);
-    ckpt::putCounter(e, proto_failures_);
     e.u8(static_cast<std::uint8_t>(last_service_));
 
     std::vector<std::pair<std::uint64_t, PagePlacement>> pages(
@@ -744,12 +683,6 @@ NumaMachine::loadState(ckpt::Decoder &d)
     Directory directory = directory_;
     directory.loadState(d);
     const std::uint64_t mutated = d.varint();
-    Rng rng = proto_rng_;
-    ckpt::getRng(d, rng);
-    Counter nacks, retries, failures;
-    ckpt::getCounter(d, nacks);
-    ckpt::getCounter(d, retries);
-    ckpt::getCounter(d, failures);
     const std::uint8_t service = d.u8();
     if (d.ok() &&
         service >
@@ -826,10 +759,6 @@ NumaMachine::loadState(ckpt::Decoder &d)
 
     directory_ = std::move(directory);
     mutated_transitions_ = mutated;
-    proto_rng_ = rng;
-    nacks_ = nacks;
-    retries_ = retries;
-    proto_failures_ = failures;
     last_service_ = static_cast<ServiceLevel>(service);
     pages_ = std::move(pages);
     frames_used_ = std::move(frames_used);

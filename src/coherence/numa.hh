@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "coherence/directory.hh"
-#include "common/rng.hh"
 #include "interconnect/fabric.hh"
 #include "coherence/inc.hh"
 #include "coherence/protocol.hh"
@@ -56,32 +55,6 @@ enum class NodeArch {
      * lookup, at the price of replication storage.
      */
     SimpleComa,
-};
-
-/**
- * Error process of the protocol engines. A loaded (or flaky) home
- * engine NACKs an incoming remote transaction instead of servicing
- * it; the requester backs off exponentially and retries a bounded
- * number of times. Exhausting the retry budget is counted as a
- * protocol failure (machine-check material) and the transaction is
- * then forced through, so forward progress is never lost silently.
- * Disabled by default (nack_rate == 0 draws nothing from the RNG, so
- * fault-free runs reproduce bit-for-bit).
- */
-struct ProtocolFaultConfig
-{
-    /** Probability that one remote transaction attempt is NACKed. */
-    double nack_rate = 0.0;
-    /** Retries before the requester raises a machine check. */
-    unsigned max_retries = 8;
-    /** Backoff before the first retry (doubles per retry). */
-    Cycles backoff_base = 16;
-    /** Upper bound on a single backoff interval. */
-    Cycles backoff_cap = 1024;
-    /** Seed of the NACK stream. */
-    std::uint64_t seed = 42;
-
-    bool enabled() const { return nack_rate > 0.0; }
 };
 
 /**
@@ -114,21 +87,6 @@ class ProtocolObserver
 
     /** A node's copy of @p block was invalidated. */
     virtual void copyInvalidated(unsigned, Addr, Tick) {}
-
-    /** A remote transaction attempt was NACKed (tries so far). */
-    virtual void protocolNack(unsigned, Addr, unsigned, Tick) {}
-
-    /** A NACKed transaction retries after backing off. */
-    virtual void protocolRetry(unsigned, Addr, unsigned, Cycles,
-                               Tick) {}
-
-    /** The retry budget was exhausted (machine-check material). */
-    virtual void protocolMachineCheck(unsigned, Addr, Tick) {}
-
-    /** A fabric message was delivered (contention mode only):
-     * (deliver tick, src, dst, attempts, link gave up). */
-    virtual void linkMessage(Tick, unsigned, unsigned, unsigned,
-                             bool) {}
 
     /**
      * One access completed: requester, block, store?, service
@@ -179,8 +137,6 @@ struct NumaConfig
     Cycles engine_occupancy = 12;
     /** Column cache geometry for the integrated node. */
     ColumnCacheConfig columns = {};
-    /** Protocol-engine NACK/retry error process. */
-    ProtocolFaultConfig protocol_fault = {};
     /** Deliberate protocol corruption (verification test hook). */
     ProtocolMutation mutation = ProtocolMutation::None;
 };
@@ -241,10 +197,12 @@ class NumaMachine
     /**
      * Attach (or with nullptr detach) a protocol observer. At most
      * one observer is supported; it must outlive the machine or be
-     * detached first. Also mirrors fabric messages into the
-     * observer when fabric contention is modelled.
+     * detached first.
      */
-    void attachObserver(ProtocolObserver *observer);
+    void attachObserver(ProtocolObserver *observer)
+    {
+        obs_ = observer;
+    }
 
     /** The attached observer (null when verification is off). */
     ProtocolObserver *observer() const { return obs_; }
@@ -265,28 +223,15 @@ class NumaMachine
         return mutated_transitions_;
     }
 
-    // Protocol-fault bookkeeping (all zero when the fault model is
-    // disabled).
-    /** Remote transaction attempts NACKed by a protocol engine. */
-    std::uint64_t protocolNacks() const { return nacks_.value(); }
-    /** Backoff-spaced retries that followed those NACKs. */
-    std::uint64_t protocolRetries() const { return retries_.value(); }
-    /** Transactions that exhausted the retry budget. */
-    std::uint64_t protocolFailures() const
-    {
-        return proto_failures_.value();
-    }
-
     /**
      * Serialize the full protocol state — directory, per-node cache
      * structures (column/victim/INC or FLC + infinite SLC),
      * Simple-COMA attraction sets and frame maps, page placements,
-     * per-node statistics, fault-model RNG and counters — behind a
-     * topology guard (nodes, arch, victim cache, page size,
-     * first-touch). Sets and maps are emitted in sorted order so the
-     * bytes are canonical. Fabric-contention mode is not
-     * checkpointable (the link clocks are not captured); saveState
-     * asserts it is off.
+     * per-node statistics — behind a topology guard (nodes, arch,
+     * victim cache, page size, first-touch). Sets and maps are
+     * emitted in sorted order so the bytes are canonical.
+     * Fabric-contention mode is not checkpointable (the link clocks
+     * are not captured); saveState asserts it is off.
      */
     void saveState(ckpt::Encoder &e) const;
 
@@ -351,8 +296,8 @@ class NumaMachine
                                 Addr &view);
 
     /** Contended cost of a request/reply round trip to @p home. */
-    Cycles remoteRoundTrip(unsigned cpu, unsigned home, Addr block,
-                           Tick now, Cycles floor);
+    Cycles remoteRoundTrip(unsigned cpu, unsigned home, Tick now,
+                           Cycles floor);
 
     /** Protocol body of access(); access() adds observer hooks. */
     Cycles accessImpl(unsigned cpu, Addr addr, bool store,
@@ -365,10 +310,6 @@ class NumaMachine
      * from helpers that do not carry the timestamp). */
     Tick obs_now_ = 0;
     std::uint64_t mutated_transitions_ = 0;
-    Rng proto_rng_;
-    Counter nacks_;
-    Counter retries_;
-    Counter proto_failures_;
     std::unique_ptr<Fabric> fabric_;
     /** Per-node protocol-engine ready times (contention mode). */
     std::vector<Tick> engine_free_;

@@ -29,18 +29,9 @@ Fabric::Fabric(unsigned nodes, FabricConfig config)
     MW_ASSERT(nodes_ >= 1, "fabric needs at least one node");
     MW_ASSERT(config_.links_per_node >= 1,
               "need at least one link per node");
-    links_.resize(nodes_);
-    for (unsigned node = 0; node < nodes_; ++node) {
-        for (unsigned i = 0; i < config_.links_per_node; ++i) {
-            // Each link gets an independent error stream so one
-            // link's draws never perturb another's.
-            LinkFaultConfig fault = config_.fault;
-            fault.seed = config_.fault.seed +
-                         0x9e3779b97f4a7c15ULL * (node + 1) +
-                         0xbf58476d1ce4e5b9ULL * (i + 1);
-            links_[node].emplace_back(config_.link, fault);
-        }
-    }
+    links_.assign(nodes_, std::vector<SerialLink>(
+                              config_.links_per_node,
+                              SerialLink(config_.link)));
 }
 
 Tick
@@ -50,15 +41,11 @@ Fabric::send(Tick now, unsigned src, unsigned dst, MsgType type)
     if (src == dst)
         return now;  // local: never touches the fabric
     // Pick the sender's least-loaded outbound link.
-    ReliableLink *best = &links_[src][0];
+    SerialLink *best = &links_[src][0];
     for (auto &link : links_[src])
         if (link.freeAt() < best->freeAt())
             best = &link;
-    const LinkSendOutcome out =
-        best->sendReliable(now, messageBytes(type));
-    if (hook_)
-        hook_(out.delivered, src, dst, type, out);
-    return out.delivered;
+    return best->send(now, messageBytes(type));
 }
 
 Cycles
@@ -85,46 +72,6 @@ Fabric::totalBytes() const
     for (const auto &node_links : links_)
         for (const auto &link : node_links)
             n += link.bytesSent();
-    return n;
-}
-
-std::uint64_t
-Fabric::totalRetransmissions() const
-{
-    std::uint64_t n = 0;
-    for (const auto &node_links : links_)
-        for (const auto &link : node_links)
-            n += link.retransmissions();
-    return n;
-}
-
-std::uint64_t
-Fabric::totalCrcErrors() const
-{
-    std::uint64_t n = 0;
-    for (const auto &node_links : links_)
-        for (const auto &link : node_links)
-            n += link.crcErrorsDetected();
-    return n;
-}
-
-std::uint64_t
-Fabric::totalTimeouts() const
-{
-    std::uint64_t n = 0;
-    for (const auto &node_links : links_)
-        for (const auto &link : node_links)
-            n += link.timeouts();
-    return n;
-}
-
-std::uint64_t
-Fabric::totalLinkFailures() const
-{
-    std::uint64_t n = 0;
-    for (const auto &node_links : links_)
-        for (const auto &link : node_links)
-            n += link.failures();
     return n;
 }
 

@@ -14,10 +14,9 @@
 #define MEMWALL_INTERCONNECT_FABRIC_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "interconnect/reliable_link.hh"
+#include "interconnect/link.hh"
 
 namespace memwall {
 
@@ -41,13 +40,6 @@ struct FabricConfig
     LinkConfig link = {};
     /** Outbound links per node (the device has four). */
     unsigned links_per_node = 4;
-    /**
-     * Link error process shared by every link (each link derives its
-     * own independent RNG stream from fault.seed). Disabled by
-     * default, in which case the fabric behaves cycle-for-cycle like
-     * one built from plain SerialLinks.
-     */
-    LinkFaultConfig fault = {};
 };
 
 /**
@@ -58,16 +50,6 @@ struct FabricConfig
 class Fabric
 {
   public:
-    /**
-     * Observation hook invoked after every fabric send with the
-     * delivery time, endpoints, message class and the link-level
-     * outcome (attempts, failure). Used by the verification layer's
-     * flight recorder; unset (the default) costs one branch per send.
-     */
-    using SendHook = std::function<void(Tick deliver, unsigned src,
-                                        unsigned dst, MsgType type,
-                                        const LinkSendOutcome &out)>;
-
     Fabric(unsigned nodes, FabricConfig config = {});
 
     /**
@@ -76,31 +58,19 @@ class Fabric
      */
     Tick send(Tick now, unsigned src, unsigned dst, MsgType type);
 
-    /** Install (or clear, with an empty function) the send hook. */
-    void setSendHook(SendHook hook) { hook_ = std::move(hook); }
-
     /** One-way latency of an unloaded @p type message. */
     Cycles unloadedLatency(MsgType type) const;
 
     unsigned nodes() const { return nodes_; }
     std::uint64_t totalMessages() const;
     std::uint64_t totalBytes() const;
-    /** Frames resent after a CRC NACK or an ACK timeout. */
-    std::uint64_t totalRetransmissions() const;
-    /** Corrupted frames caught by the receiver's CRC check. */
-    std::uint64_t totalCrcErrors() const;
-    /** Lost frames recovered by the sender-side timeout. */
-    std::uint64_t totalTimeouts() const;
-    /** Sends that exhausted max_retries (machine-check material). */
-    std::uint64_t totalLinkFailures() const;
     void resetStats();
 
   private:
     unsigned nodes_;
     FabricConfig config_;
-    SendHook hook_;
     /** links_[node][i] = i-th outbound link of node. */
-    std::vector<std::vector<ReliableLink>> links_;
+    std::vector<std::vector<SerialLink>> links_;
 };
 
 } // namespace memwall

@@ -41,9 +41,6 @@ RefreshAgent::drainUpTo(Dram &dram, Tick now)
         issued_.inc();
         ++issued;
         ++rotor_;
-        if (observer_)
-            observer_->onRefresh(bank, row,
-                                 static_cast<Tick>(next_due_));
         next_due_ += interval_;
     }
     return issued;

@@ -43,21 +43,6 @@ struct RefreshConfig
     std::uint32_t max_per_call = 64 * 1024;
 };
 
-/**
- * Callback invoked once per refreshed row. The memory scrubber rides
- * this hook: every row the refresh agent touches anyway gets a free
- * ECC decode pass (see src/fault/scrub.hh).
- */
-class RefreshObserver
-{
-  public:
-    virtual ~RefreshObserver() = default;
-
-    /** Row @p row of bank @p bank was refreshed at time @p when. */
-    virtual void onRefresh(std::uint32_t bank, std::uint32_t row,
-                           Tick when) = 0;
-};
-
 /** Distributed-refresh generator. */
 class RefreshAgent
 {
@@ -74,9 +59,6 @@ class RefreshAgent
      * @return the number of refreshes issued by this call.
      */
     unsigned drainUpTo(Dram &dram, Tick now);
-
-    /** Attach @p obs (may be null) to see every refreshed row. */
-    void setObserver(RefreshObserver *obs) { observer_ = obs; }
 
     std::uint64_t refreshesIssued() const
     {
@@ -100,7 +82,6 @@ class RefreshAgent
     double next_due_ = 0.0;
     std::uint64_t rotor_ = 0;
     Counter issued_;
-    RefreshObserver *observer_ = nullptr;
 };
 
 } // namespace memwall

@@ -150,30 +150,6 @@ DirectoryEccBlock::load(std::array<std::uint64_t, data_words> &data) const
     return worst;
 }
 
-EccStatus
-DirectoryEccBlock::scrub()
-{
-    std::array<std::uint64_t, data_words> repaired = data_;
-    EccStatus worst = EccStatus::Ok;
-    for (unsigned half = 0; half < 2; ++half) {
-        const auto res =
-            code_.decode(std::span(repaired.data() + 2 * half, 2),
-                         check_[half]);
-        if (res.status == EccStatus::DetectedDouble)
-            return EccStatus::DetectedDouble;
-        if (res.status == EccStatus::CorrectedSingle)
-            worst = EccStatus::CorrectedSingle;
-    }
-    if (worst == EccStatus::CorrectedSingle) {
-        // Write back the corrected words and regenerate the check
-        // bits; this also clears flipped check bits.
-        data_ = repaired;
-        check_[0] = code_.encode(std::span(data_.data(), 2));
-        check_[1] = code_.encode(std::span(data_.data() + 2, 2));
-    }
-    return worst;
-}
-
 void
 DirectoryEccBlock::injectDataError(unsigned bit)
 {

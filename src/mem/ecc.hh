@@ -109,17 +109,6 @@ class DirectoryEccBlock
      */
     EccStatus load(std::array<std::uint64_t, data_words> &data) const;
 
-    /**
-     * Decode and repair the stored copy in place (memory scrubbing).
-     * A corrected single-bit error — data or check bit — is written
-     * back and the check bits are re-encoded, so the latent error
-     * cannot later pair into an uncorrectable double. A
-     * detected-uncorrectable block is left untouched for higher-level
-     * recovery (row sparing / machine check).
-     * @return the decode outcome.
-     */
-    EccStatus scrub();
-
     /** Flip bit @p bit (0..255) of the stored data — fault injection. */
     void injectDataError(unsigned bit);
 

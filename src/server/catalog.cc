@@ -217,11 +217,11 @@ splashPlan(const RunRequest &run, ckpt::CheckpointStore *)
 }
 
 constexpr std::initializer_list<const char *> miss_rate_flags = {
-    "--format", "--sample", "--ckpt-dir", "--resume"};
+    "--jobs", "--format", "--sample", "--ckpt-dir", "--resume"};
 constexpr std::initializer_list<const char *> table_flags = {
-    "--format"};
+    "--jobs", "--format"};
 constexpr std::initializer_list<const char *> splash_flags = {
-    "--format", "--sample", "--nodes"};
+    "--jobs", "--format", "--sample", "--nodes"};
 
 /** The catalog, in Experiment order. Columns: experiment, name,
  *  refs, sample, nodes, bench flags, plan builder, SPLASH figure. */

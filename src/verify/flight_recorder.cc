@@ -82,20 +82,8 @@ flightKindName(FlightKind kind)
         return "access-end";
       case FlightKind::Invalidate:
         return "invalidate";
-      case FlightKind::Nack:
-        return "nack";
-      case FlightKind::Retry:
-        return "retry";
-      case FlightKind::MachineCheck:
-        return "machine-check";
       case FlightKind::DirTransition:
         return "dir-transition";
-      case FlightKind::LinkRetransmit:
-        return "link-retransmit";
-      case FlightKind::LinkFailure:
-        return "link-failure";
-      case FlightKind::FaultInjected:
-        return "fault-injected";
       case FlightKind::Violation:
         return "VIOLATION";
       case FlightKind::WatchdogWarn:
@@ -185,24 +173,10 @@ FlightRecorder::dump(std::ostream &os,
                 printEntry(os,
                            static_cast<std::uint16_t>(ev.b));
                 break;
-              case FlightKind::Nack:
-                os << " tries=" << ev.a;
-                break;
-              case FlightKind::Retry:
-                os << " tries=" << ev.a << " backoff=" << ev.b;
-                break;
-              case FlightKind::LinkRetransmit:
-                os << " attempts=" << ev.a;
-                break;
-              case FlightKind::FaultInjected:
-                os << " bit=" << ev.a;
-                break;
               case FlightKind::WatchdogWarn:
                 os << " stage=" << ev.a;
                 break;
               case FlightKind::Invalidate:
-              case FlightKind::MachineCheck:
-              case FlightKind::LinkFailure:
               case FlightKind::Violation:
               case FlightKind::TxnBegin:
               case FlightKind::TxnEnd:

@@ -4,10 +4,10 @@
  *
  * Silent protocol hangs are only diagnosable if the recent history
  * survives the crash. The recorder keeps a fixed-size ring of the
- * last K protocol/link/fault events per node; recording is a few
- * stores into preallocated storage, so it is cheap enough to leave
- * on whenever the shadow checker is attached. On a checker
- * violation, a watchdog trip or a machine check the ring is dumped
+ * last K protocol events per node; recording is a few stores into
+ * preallocated storage, so it is cheap enough to leave on whenever
+ * the shadow checker is attached. On a checker violation or a
+ * watchdog trip the ring is dumped
  * with every field decoded (event kind, directory state, service
  * level), turning a wedged bench into an actionable report.
  */
@@ -27,20 +27,14 @@ namespace memwall {
 enum class FlightKind : std::uint8_t {
     AccessEnd,      ///< completed access: a = service, b = latency
     Invalidate,     ///< copy invalidated at this node
-    Nack,           ///< protocol engine NACKed an attempt; a = tries
-    Retry,          ///< backoff retry; a = tries, b = backoff
-    MachineCheck,   ///< retry budget exhausted
     DirTransition,  ///< a = old encoded entry, b = new encoded entry
-    LinkRetransmit, ///< link-layer retransmission; a = attempts
-    LinkFailure,    ///< link gave up after max retries
-    FaultInjected,  ///< soft error landed; a = bit index
     Violation,      ///< shadow-checker invariant violation
     WatchdogWarn,   ///< watchdog escalation step
     TxnBegin,       ///< open-transaction tracking started
     TxnEnd,         ///< open transaction completed
 };
 
-/** Decoded name of @p kind ("access-end", "nack", ...). */
+/** Decoded name of @p kind ("access-end", "invalidate", ...). */
 const char *flightKindName(FlightKind kind);
 
 /** One recorded event (fixed size; meaning of a/b depends on kind). */

@@ -42,51 +42,6 @@ CoherenceVerifier::copyInvalidated(unsigned node, Addr block,
 }
 
 void
-CoherenceVerifier::protocolNack(unsigned cpu, Addr block,
-                                unsigned tries, Tick tick)
-{
-    recorder_.record(cpu, FlightKind::Nack, tick, block, tries);
-}
-
-void
-CoherenceVerifier::protocolRetry(unsigned cpu, Addr block,
-                                 unsigned tries, Cycles backoff,
-                                 Tick tick)
-{
-    recorder_.record(cpu, FlightKind::Retry, tick, block, tries,
-                     backoff);
-    watchdog_.onRetry(cpu, block, tries);
-}
-
-void
-CoherenceVerifier::protocolMachineCheck(unsigned cpu, Addr block,
-                                        Tick tick)
-{
-    recorder_.record(cpu, FlightKind::MachineCheck, tick, block);
-    if (dumps_emitted_ < config_.max_dumps) {
-        ++dumps_emitted_;
-        std::ostringstream why;
-        why << "machine check: node " << cpu
-            << " exhausted its retry budget on block 0x" << std::hex
-            << block;
-        recorder_.dump(*report_stream_, why.str());
-    }
-}
-
-void
-CoherenceVerifier::linkMessage(Tick deliver, unsigned src,
-                               unsigned dst, unsigned attempts,
-                               bool failed)
-{
-    if (attempts > 1)
-        recorder_.record(src, FlightKind::LinkRetransmit, deliver,
-                         dst, attempts);
-    if (failed)
-        recorder_.record(src, FlightKind::LinkFailure, deliver, dst,
-                         attempts);
-}
-
-void
 CoherenceVerifier::accessEnd(unsigned cpu, Addr block, bool store,
                              ServiceLevel service, Cycles latency,
                              Tick tick, std::uint16_t dir_before,

@@ -10,10 +10,9 @@
  *  - every completed access is mirrored into the ShadowChecker and
  *    its invariants (SWMR, directory presence, data freshness)
  *    re-verified;
- *  - NACKs, retries, machine checks, link retransmissions and
- *    directory transitions stream into the per-node flight recorder;
- *  - retry counts and access latencies feed the watchdog's livelock
- *    detection.
+ *  - completed accesses, invalidations and directory transitions
+ *    stream into the per-node flight recorder;
+ *  - access latencies feed the watchdog's escalation.
  *
  * On a violation the recorder is dumped (decoded, rate-limited) and
  * the configured policy applies: Count keeps going and accumulates
@@ -77,14 +76,6 @@ class CoherenceVerifier : public ProtocolObserver
     // ---- ProtocolObserver ------------------------------------------
     void copyInvalidated(unsigned node, Addr block,
                          Tick tick) override;
-    void protocolNack(unsigned cpu, Addr block, unsigned tries,
-                      Tick tick) override;
-    void protocolRetry(unsigned cpu, Addr block, unsigned tries,
-                       Cycles backoff, Tick tick) override;
-    void protocolMachineCheck(unsigned cpu, Addr block,
-                              Tick tick) override;
-    void linkMessage(Tick deliver, unsigned src, unsigned dst,
-                     unsigned attempts, bool failed) override;
     void accessEnd(unsigned cpu, Addr block, bool store,
                    ServiceLevel service, Cycles latency, Tick tick,
                    std::uint16_t dir_before,

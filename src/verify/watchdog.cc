@@ -53,38 +53,9 @@ TransactionWatchdog::escalate(Stage &stage, Stage target,
 }
 
 void
-TransactionWatchdog::onRetry(unsigned cpu, Addr block,
-                             unsigned tries)
-{
-    auto &[cur_block, stage] = sync_stage_[cpu];
-    if (cur_block != block) {
-        cur_block = block;
-        stage = None;
-    }
-    Stage target = None;
-    if (tries >= config_.fatal_retries)
-        target = Fataled;
-    else if (tries >= config_.dump_retries)
-        target = Dumped;
-    else if (tries >= config_.warn_retries)
-        target = Warned;
-    if (target == None)
-        return;
-    std::ostringstream os;
-    os << "transaction by node " << cpu << " on block 0x"
-       << std::hex << block << std::dec << " retried " << tries
-       << " times (possible livelock)";
-    escalate(stage, target, cpu, block, 0, os.str());
-}
-
-void
 TransactionWatchdog::onComplete(unsigned cpu, Addr block,
                                 Cycles latency)
 {
-    // A completed transaction resets the per-cpu livelock stage.
-    auto it = sync_stage_.find(cpu);
-    if (it != sync_stage_.end())
-        sync_stage_.erase(it);
     Stage target = None;
     if (latency >= config_.fatal_latency)
         target = Fataled;

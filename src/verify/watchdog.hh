@@ -1,14 +1,12 @@
 /**
  * @file
  * Per-transaction watchdogs: turn silent protocol hangs and
- * livelocks into staged, diagnosable escalations.
+ * pathological latencies into staged, diagnosable escalations.
  *
  * Two failure shapes are covered:
  *
- *  - **Livelock** — a transaction keeps getting NACKed and retried.
- *    The watchdog counts retries per transaction and escalates when
- *    thresholds are crossed. Completed accesses whose total latency
- *    is pathological are reported the same way.
+ *  - **Slow completion** — a completed access whose total latency
+ *    is pathological is reported when thresholds are crossed.
  *
  *  - **Stall** — a transaction opens and never completes (a lost
  *    reply, a wedged engine). Open transactions are registered with
@@ -42,12 +40,6 @@ class EventQueue;
 /** Escalation thresholds. */
 struct WatchdogConfig
 {
-    /** Retries of one transaction before a warning. */
-    unsigned warn_retries = 4;
-    /** Retries before a flight-recorder dump. */
-    unsigned dump_retries = 6;
-    /** Retries before the fatal handler runs. */
-    unsigned fatal_retries = 32;
     /** Completed-access latency (cycles) that triggers a warning. */
     Cycles warn_latency = 100'000;
     /** Completed-access latency that triggers the fatal handler. */
@@ -85,10 +77,7 @@ class TransactionWatchdog
         fatal_handler_ = std::move(handler);
     }
 
-    // ---- Livelock interest (synchronous transactions) -------------
-
-    /** Report the @p tries-th retry of @p cpu's transaction. */
-    void onRetry(unsigned cpu, Addr block, unsigned tries);
+    // ---- Latency interest (synchronous transactions) --------------
 
     /** Report a completed access and its total latency. */
     void onComplete(unsigned cpu, Addr block, Cycles latency);
@@ -149,9 +138,6 @@ class TransactionWatchdog
     FatalHandler fatal_handler_;
     std::uint64_t next_txn_ = 1;
     std::unordered_map<std::uint64_t, OpenTxn> open_;
-    /** Escalation stage of the current synchronous transaction per
-     * (cpu, block); reset when a different block is reported. */
-    std::unordered_map<unsigned, std::pair<Addr, Stage>> sync_stage_;
     std::uint64_t warnings_ = 0;
     std::uint64_t dumps_ = 0;
     std::uint64_t fatals_ = 0;

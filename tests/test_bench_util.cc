@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the bench option-parsing helpers: --jobs/--refs/--seed/
- * --quick, registered extra flags (--format among them), and the
+ * Tests of the bench option-parsing helpers: --refs/--seed/--quick,
+ * registered extra flags (--jobs and --format among them), and the
  * comma-list parsers.
  */
 
@@ -56,7 +56,7 @@ TEST(BenchUtil, ParsesCoreFlags)
 {
     Argv a{"bench", "--refs", "500000", "--quick", "--seed", "7",
            "--jobs", "3"};
-    const auto opt = benchutil::parse(a.argc(), a.argv());
+    const auto opt = benchutil::parse(a.argc(), a.argv(), {"--jobs"});
     EXPECT_EQ(opt.refs, 500000u);
     EXPECT_TRUE(opt.quick);
     EXPECT_EQ(opt.seed, 7u);
@@ -66,7 +66,7 @@ TEST(BenchUtil, ParsesCoreFlags)
 TEST(BenchUtil, JobsZeroMeansHardwareDefault)
 {
     Argv a{"bench", "--jobs", "0"};
-    const auto opt = benchutil::parse(a.argc(), a.argv());
+    const auto opt = benchutil::parse(a.argc(), a.argv(), {"--jobs"});
     EXPECT_EQ(opt.jobs, benchutil::defaultJobs());
 }
 
@@ -83,7 +83,7 @@ TEST(BenchUtil, ExtraFlagsLandInMap)
     Argv a{"bench", "--reseeds", "0,777,31415", "--jobs", "2",
            "--mode", "fast"};
     const auto opt = benchutil::parse(a.argc(), a.argv(),
-                                      {"--reseeds", "--mode"});
+                                      {"--jobs", "--reseeds", "--mode"});
     EXPECT_EQ(opt.jobs, 2u);
     EXPECT_EQ(opt.extraOr("--reseeds", ""), "0,777,31415");
     EXPECT_EQ(opt.extraOr("--mode", ""), "fast");
@@ -133,7 +133,7 @@ TEST(BenchUtilDeathTest, NonNumericValueRejected)
     // Silently mapping `--jobs abc` to the hardware default hid
     // typos; it must be a named parse error instead.
     Argv a{"bench", "--jobs", "abc"};
-    EXPECT_EXIT(benchutil::parse(a.argc(), a.argv()),
+    EXPECT_EXIT(benchutil::parse(a.argc(), a.argv(), {"--jobs"}),
                 testing::ExitedWithCode(2),
                 "invalid value 'abc' for --jobs");
 }
@@ -154,6 +154,24 @@ TEST(BenchUtilDeathTest, FormatRejectedUnlessRegistered)
     EXPECT_EXIT(benchutil::parse(a.argc(), a.argv(), {"--reseeds"}),
                 testing::ExitedWithCode(2),
                 "unknown flag '--format'");
+}
+
+TEST(BenchUtilDeathTest, JobsRejectedUnlessRegistered)
+{
+    // A bench that runs its points serially must refuse the flag,
+    // never accept a worker count it ignores.
+    Argv a{"bench", "--jobs", "2"};
+    EXPECT_EXIT(benchutil::parse(a.argc(), a.argv(), {"--reseeds"}),
+                testing::ExitedWithCode(2),
+                "unknown flag '--jobs'");
+}
+
+TEST(BenchUtilDeathTest, RegisteredJobsIsInTheUsageLine)
+{
+    Argv a{"bench", "--bogus"};
+    EXPECT_EXIT(benchutil::parse(a.argc(), a.argv(), {"--jobs"}),
+                testing::ExitedWithCode(2),
+                "\\[--seed S\\] \\[--jobs N\\]");
 }
 
 TEST(BenchUtil, RegisteredFormatSelectsJson)
@@ -198,15 +216,6 @@ TEST(BenchUtil, ParseU64List)
 {
     EXPECT_EQ(benchutil::parseU64List("0,777,0x10"),
               (std::vector<std::uint64_t>{0, 777, 16}));
-}
-
-TEST(BenchUtil, ParseDoubleList)
-{
-    const auto vals = benchutil::parseDoubleList("0,1e-6,2.5");
-    ASSERT_EQ(vals.size(), 3u);
-    EXPECT_DOUBLE_EQ(vals[0], 0.0);
-    EXPECT_DOUBLE_EQ(vals[1], 1e-6);
-    EXPECT_DOUBLE_EQ(vals[2], 2.5);
 }
 
 TEST(BenchUtilCkptFlagsDeath, EmptyCkptDirIsUsageError)

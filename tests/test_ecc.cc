@@ -266,61 +266,3 @@ TEST(DirectoryEcc, DetectsDataPlusCheckDoubles)
         }
     }
 }
-
-// ---- Scrubbing (in-place repair) --------------------------------------
-
-TEST(DirectoryEcc, ScrubRepairsStoredSingleBitError)
-{
-    DirectoryEccBlock block;
-    const std::array<std::uint64_t, 4> data{10, 20, 30, 40};
-    block.store(data, 3);
-    block.injectDataError(100);
-    EXPECT_EQ(block.scrub(), EccStatus::CorrectedSingle);
-    // The stored copy is now clean: further decodes see no error.
-    EXPECT_EQ(block.scrub(), EccStatus::Ok);
-    std::array<std::uint64_t, 4> out{};
-    EXPECT_EQ(block.load(out), EccStatus::Ok);
-    EXPECT_EQ(out, data);
-}
-
-TEST(DirectoryEcc, ScrubRepairsCheckBitErrorByReencoding)
-{
-    DirectoryEccBlock block;
-    block.store({5, 6, 7, 8}, 0);
-    block.injectCheckError(17);
-    EXPECT_EQ(block.scrub(), EccStatus::CorrectedSingle);
-    EXPECT_EQ(block.scrub(), EccStatus::Ok);
-}
-
-TEST(DirectoryEcc, ScrubPreventsSingleFromPairingIntoDouble)
-{
-    // The reason scrubbing exists: correct the latent single before
-    // a second strike in the same half makes the block unrecoverable.
-    const std::array<std::uint64_t, 4> data{0xe, 0xf, 0x10, 0x11};
-    DirectoryEccBlock scrubbed, unscrubbed;
-    scrubbed.store(data, 0);
-    unscrubbed.store(data, 0);
-    scrubbed.injectDataError(40);
-    unscrubbed.injectDataError(40);
-    EXPECT_EQ(scrubbed.scrub(), EccStatus::CorrectedSingle);
-    // Second strike, same half, both blocks.
-    scrubbed.injectDataError(90);
-    unscrubbed.injectDataError(90);
-    std::array<std::uint64_t, 4> out{};
-    EXPECT_EQ(scrubbed.load(out), EccStatus::CorrectedSingle);
-    EXPECT_EQ(out, data);
-    EXPECT_EQ(unscrubbed.load(out), EccStatus::DetectedDouble);
-}
-
-TEST(DirectoryEcc, ScrubLeavesDetectedDoubleUntouched)
-{
-    DirectoryEccBlock block;
-    block.store({1, 1, 1, 1}, 5);
-    block.injectDataError(0);
-    block.injectDataError(1);
-    EXPECT_EQ(block.scrub(), EccStatus::DetectedDouble);
-    // Still flagged on the next pass: scrub must not "repair" what
-    // it cannot correct (that is the row-sparing path's job).
-    EXPECT_EQ(block.scrub(), EccStatus::DetectedDouble);
-    EXPECT_EQ(block.directory(), 5u);
-}

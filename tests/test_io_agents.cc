@@ -118,51 +118,6 @@ TEST(RefreshDeath, ZeroCapRejected)
     EXPECT_DEATH(RefreshAgent(c, DramConfig{}), "cap");
 }
 
-namespace {
-
-/** Observer that records every refresh callback. */
-struct CountingObserver : RefreshObserver
-{
-    unsigned calls = 0;
-    std::uint32_t last_bank = 0;
-    std::uint32_t last_row = 0;
-    Tick last_when = 0;
-
-    void
-    onRefresh(std::uint32_t bank, std::uint32_t row,
-              Tick when) override
-    {
-        ++calls;
-        last_bank = bank;
-        last_row = row;
-        last_when = when;
-    }
-};
-
-} // namespace
-
-TEST(Refresh, ObserverSeesEveryRefreshedRow)
-{
-    RefreshConfig c;
-    DramConfig d;
-    RefreshAgent agent(c, d);
-    CountingObserver obs;
-    agent.setObserver(&obs);
-    Dram dram(d);
-    agent.drainUpTo(dram, 10'000);
-    EXPECT_EQ(obs.calls, agent.refreshesIssued());
-    EXPECT_GE(obs.calls, 100u);
-    EXPECT_LT(obs.last_bank, d.banks);
-    EXPECT_LT(obs.last_row, c.rows_per_bank);
-    EXPECT_LE(obs.last_when, 10'000u);
-    // Detaching stops the callbacks without stopping refresh.
-    agent.setObserver(nullptr);
-    const auto before = obs.calls;
-    agent.drainUpTo(dram, 20'000);
-    EXPECT_EQ(obs.calls, before);
-    EXPECT_GT(agent.refreshesIssued(), before);
-}
-
 TEST(Refresh, RotatesAcrossBanks)
 {
     RefreshConfig c;
