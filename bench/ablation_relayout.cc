@@ -56,15 +56,13 @@ main(int argc, char **argv)
         const double before = missRate(w.proxy, refs);
         const double after =
             missRate(relayoutCode(w.proxy), refs);
-        table.addRow(
-            {w.name, TextTable::num(before * 100, 3),
-             TextTable::num(after * 100, 3),
-             (after <= before ? "-" : "+") +
-                 TextTable::num(
-                     100.0 * std::abs(after - before) /
-                         std::max(before, 1e-9),
-                     1) +
-                 "%"});
+        std::string change = after <= before ? "-" : "+";
+        change += TextTable::num(100.0 * std::abs(after - before) /
+                                     std::max(before, 1e-9),
+                                 1);
+        change += '%';
+        table.addRow({w.name, TextTable::num(before * 100, 3),
+                      TextTable::num(after * 100, 3), change});
     }
     table.print(std::cout);
     std::cout << "\nExpected: turb3d's loop/callee conflict "

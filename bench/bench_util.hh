@@ -9,8 +9,8 @@
  *
  * A bench may register additional value-taking flags (e.g.
  * `--reseeds 0,777,31415`) by passing them to parse(); their values
- * land in Options::extra keyed by flag name, and the comma-list
- * helpers below turn them into numbers.
+ * land in Options::extra keyed by flag name; parseU64Flag(),
+ * parseDoubleFlag() and splitList() turn them into numbers.
  *
  * Two registered flags are parsed into typed fields instead:
  *   --format text|json   a bench with machine-readable output;
@@ -29,6 +29,7 @@
 #define MEMWALL_BENCH_BENCH_UTIL_HH
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -128,6 +129,27 @@ parseU64Flag(const char *text, const char *flag, const char *prog,
     errno = 0;
     const unsigned long long value = std::strtoull(text, &end, 0);
     if (end == text || *end != '\0' || errno == ERANGE)
+        usageError(prog, extra_flags,
+                   std::string("invalid value '") + text + "' for " +
+                       flag);
+    return value;
+}
+
+/**
+ * Parse the whole of @p text as a finite floating-point number;
+ * reject empty, trailing junk, out-of-range and non-finite values
+ * with an error naming @p flag, so a mistyped gate never becomes a
+ * gate of 0.
+ */
+inline double
+parseDoubleFlag(const char *text, const char *flag, const char *prog,
+                std::initializer_list<const char *> extra_flags)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value))
         usageError(prog, extra_flags,
                    std::string("invalid value '") + text + "' for " +
                        flag);
@@ -283,16 +305,6 @@ splitList(const std::string &list)
         out.push_back(list.substr(start, comma - start));
         start = comma + 1;
     }
-    return out;
-}
-
-/** Parse a comma-separated list of unsigned integers. */
-inline std::vector<std::uint64_t>
-parseU64List(const std::string &list)
-{
-    std::vector<std::uint64_t> out;
-    for (const std::string &item : splitList(list))
-        out.push_back(std::strtoull(item.c_str(), nullptr, 0));
     return out;
 }
 

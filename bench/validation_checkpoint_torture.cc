@@ -63,6 +63,9 @@ using namespace memwall;
 
 namespace {
 
+constexpr std::initializer_list<const char *> extra_flags = {
+    "--jobs", "--min-speedup"};
+
 double
 nowSeconds()
 {
@@ -510,10 +513,10 @@ resumeLeg(const std::vector<const SpecWorkload *> &set,
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv, {"--jobs", "--min-speedup"});
-    const double min_speedup =
-        std::strtod(opt.extraOr("--min-speedup", "10").c_str(),
-                    nullptr);
+    auto opt = benchutil::parse(argc, argv, extra_flags);
+    const double min_speedup = benchutil::parseDoubleFlag(
+        opt.extraOr("--min-speedup", "10").c_str(), "--min-speedup",
+        argv[0], extra_flags);
     benchutil::banner("Validation - checkpoint/restore torture",
                       opt);
 

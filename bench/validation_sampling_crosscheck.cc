@@ -56,6 +56,9 @@ using namespace memwall::cachelabels;
 
 namespace {
 
+constexpr std::initializer_list<const char *> extra_flags = {
+    "--jobs", "--min-speedup", "--format"};
+
 double
 nowSeconds()
 {
@@ -301,12 +304,10 @@ printJson(const std::vector<Point> &spec,
 int
 main(int argc, char **argv)
 {
-    auto opt =
-        benchutil::parse(argc, argv,
-                         {"--jobs", "--min-speedup", "--format"});
-    const double min_speedup =
-        std::strtod(opt.extraOr("--min-speedup", "5").c_str(),
-                    nullptr);
+    auto opt = benchutil::parse(argc, argv, extra_flags);
+    const double min_speedup = benchutil::parseDoubleFlag(
+        opt.extraOr("--min-speedup", "5").c_str(), "--min-speedup",
+        argv[0], extra_flags);
     if (!opt.json())
         benchutil::banner(
             "Validation - sampled vs exhaustive simulation", opt);

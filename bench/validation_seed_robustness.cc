@@ -26,10 +26,13 @@
 using namespace memwall;
 using namespace memwall::cachelabels;
 
+constexpr std::initializer_list<const char *> extra_flags = {
+    "--reseeds"};
+
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv, {"--reseeds"});
+    auto opt = benchutil::parse(argc, argv, extra_flags);
     benchutil::banner("Validation - proxy-seed robustness", opt);
 
     MissRateParams params;
@@ -39,9 +42,11 @@ main(int argc, char **argv)
     params.warmup_refs = params.measured_refs / 4;
 
     // Seed deltas to sweep; override with --reseeds 0,777,31415,...
-    const std::vector<std::uint64_t> reseeds =
-        benchutil::parseU64List(
-            opt.extraOr("--reseeds", "0,777,31415,2718281"));
+    std::vector<std::uint64_t> reseeds;
+    for (const std::string &item : benchutil::splitList(
+             opt.extraOr("--reseeds", "0,777,31415,2718281")))
+        reseeds.push_back(benchutil::parseU64Flag(
+            item.c_str(), "--reseeds", argv[0], extra_flags));
 
     TextTable table("Key Figure 7/8 quantities across four proxy "
                     "seeds (min .. max)");

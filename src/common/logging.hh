@@ -43,7 +43,9 @@ std::string
 format(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
+    // The void cast keeps an empty pack's bare `os` from being an
+    // unused value.
+    static_cast<void>((os << ... << std::forward<Args>(args)));
     return os.str();
 }
 

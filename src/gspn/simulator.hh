@@ -9,6 +9,8 @@
 #define MEMWALL_GSPN_SIMULATOR_HH
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -20,6 +22,12 @@ namespace memwall {
  * Simulates one PetriNet instance. Holds the marking, transition
  * timers and time-averaged statistics; the net itself is shared and
  * immutable.
+ *
+ * Enabling is incremental: a marking change marks the transitions
+ * that read the changed place dirty, and only dirty transitions are
+ * re-tested. Every RNG draw and random-switch pick still happens in
+ * transition-index order, so a run is the same as one that re-tests
+ * every transition after every firing.
  */
 class GspnSimulator
 {
@@ -79,6 +87,8 @@ class GspnSimulator
     void advanceTime(double to);
     /** @return index of the timed transition that fires next, or -1. */
     int nextTimed() const;
+    /** Advance to timer @p t, fire it and settle the net. */
+    void fireTimed(TransitionId t);
 
     const PetriNet &net_;
     Rng rng_;
@@ -91,6 +101,25 @@ class GspnSimulator
     std::vector<double> busy_time_;
     std::uint64_t total_firings_ = 0;
     std::uint64_t seed_;
+
+    /** Words per bitset over transitions (64 transitions a word). */
+    std::size_t words_;
+    /** Per place, a bitset of the transitions with an input, test or
+     * inhibitor arc on it (row p at p * words_). */
+    std::vector<std::uint64_t> readers_;
+    /** Per transition t, the transitions to re-test after t fires:
+     * t itself and the readers of every place t changes. */
+    std::vector<std::uint64_t> affected_;
+    std::vector<std::uint64_t> immediate_;  ///< immediate transitions
+    std::vector<std::uint64_t> dirty_;      ///< to re-test
+    std::vector<std::uint64_t> enabled_;    ///< enabled immediates
+    /** Bitset over places: those holding at least one token. */
+    std::vector<std::uint64_t> nonempty_;
+    /** Immediates of the top priority, reused by fireImmediates(). */
+    std::vector<TransitionId> candidates_;
+    /** Pending timers ordered by (time, index): the lowest index
+     * wins a tie. */
+    std::set<std::pair<double, TransitionId>> timers_;
 };
 
 } // namespace memwall

@@ -270,8 +270,11 @@ std::string
 catalogNames()
 {
     std::string names;
-    for (const CatalogEntry &e : catalog_table)
-        names += (names.empty() ? "" : " ") + std::string(e.name);
+    for (const CatalogEntry &e : catalog_table) {
+        if (!names.empty())
+            names += ' ';
+        names += e.name;
+    }
     return names;
 }
 

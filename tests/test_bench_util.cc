@@ -212,10 +212,25 @@ TEST(BenchUtil, SplitListSingleAndEmpty)
               (std::vector<std::string>{"a", ""}));
 }
 
-TEST(BenchUtil, ParseU64List)
+TEST(BenchUtil, ParseDoubleFlagAcceptsFiniteNumbers)
 {
-    EXPECT_EQ(benchutil::parseU64List("0,777,0x10"),
-              (std::vector<std::uint64_t>{0, 777, 16}));
+    EXPECT_EQ(benchutil::parseDoubleFlag("1.5", "--x", "bench", {}),
+              1.5);
+    EXPECT_EQ(benchutil::parseDoubleFlag("3", "--x", "bench", {}), 3.0);
+    EXPECT_EQ(benchutil::parseDoubleFlag("1e1", "--x", "bench", {}),
+              10.0);
+}
+
+TEST(BenchUtilDeathTest, ParseDoubleFlagRejectsJunk)
+{
+    for (const char *bad : {"", "abc", "2x", "1e999", "inf", "nan"})
+        EXPECT_EXIT(
+            benchutil::parseDoubleFlag(bad, "--min-speedup", "bench",
+                                       {"--min-speedup"}),
+            testing::ExitedWithCode(2),
+            std::string("invalid value '") + bad +
+                "' for --min-speedup")
+            << bad;
 }
 
 TEST(BenchUtilCkptFlagsDeath, EmptyCkptDirIsUsageError)

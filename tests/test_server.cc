@@ -174,7 +174,10 @@ TEST(ServerJson, AsU64ExactIntegersOnly)
 TEST(ServerJson, EscapeRoundTrip)
 {
     const std::string nasty = "a\"b\\c\n\t\x01z";
-    const JsonValue v = parseOk("\"" + jsonEscape(nasty) + "\"");
+    std::string quoted = "\"";
+    quoted += jsonEscape(nasty);
+    quoted += '"';
+    const JsonValue v = parseOk(quoted);
     EXPECT_EQ(v.text, nasty);
 }
 
@@ -928,8 +931,9 @@ TEST(MwServerTest, ComputesCachesAndDedupesExactlyOnce)
     threads.reserve(clients);
     for (int i = 0; i < clients; ++i)
         threads.emplace_back([&, i] {
-            responses[i] =
-                srv.rpc(runRequest("c" + std::to_string(i)));
+            std::string id = "c";
+            id += std::to_string(i);
+            responses[i] = srv.rpc(runRequest(id));
         });
     for (auto &t : threads)
         t.join();

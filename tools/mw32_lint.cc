@@ -118,8 +118,7 @@ dumpCharact(const StaticCharacterization &chr)
 }
 
 void
-dumpRanges(const Program &prog, const StaticCharacterization &chr,
-           const AbsInt &ai)
+dumpRanges(const StaticCharacterization &chr, const AbsInt &ai)
 {
     if (ai.topMode()) {
         std::printf("; ranges: top (unbounded control flow)\n");
@@ -337,7 +336,7 @@ main(int argc, char **argv)
         if (show_charact)
             dumpCharact(chr);
         if (show_ranges)
-            dumpRanges(prog, chr, ai);
+            dumpRanges(chr, ai);
         for (const Diagnostic &d : diags)
             std::printf("%s\n", d.format(arg).c_str());
         if (!quiet)
